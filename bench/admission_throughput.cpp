@@ -12,8 +12,8 @@
 /// admitted, the adversarial regime) — a trace of `events` churn
 /// operations is replayed twice: through an AdmissionController
 /// (incremental demand state + escalation ladder) and through a
-/// baseline that re-runs an exact analyzer test on the full widened set
-/// for every arrival (the repo's pre-existing run_test workflow).
+/// baseline that re-runs an exact test on the full widened set for
+/// every arrival (a from-scratch Query per decision).
 /// Decisions must agree on every event — both paths are exact — and
 /// the headline number is the decisions/sec ratio (target: >= 5x at
 /// n >= 50 in the operational regime).

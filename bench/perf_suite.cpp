@@ -1307,11 +1307,32 @@ void emit_internals(bench::JsonEmitter& json, const char* key,
       .end();
 }
 
+constexpr const char* kUsage =
+    "usage: perf_suite [--quick] [--events N] [--epsilon 0.25] [--seed N]\n"
+    "                  [--sets reps] [--csv FILE] [--json BENCH_perf.json]\n"
+    "                  [--baseline committed.json] [--tolerance 0.2]\n"
+    "                  [--gate-batch X] [--gate-small-n X]\n"
+    "                  [--gate-obs-overhead X] [--obs-metrics-out FILE]\n"
+    "                  [--obs-trace-out FILE] [--gate-fault-overhead X]\n"
+    "                  [--gate-repl-overhead X]\n"
+    "\n"
+    "Runs the demand-kernel regression cells (old vs new) and writes the\n"
+    "results to --json (default BENCH_perf.json in the current directory).\n"
+    "\n"
+    "exit codes: 0 ok; 2 error; 3 decision disagreement; 4 headline speedup\n"
+    "regressed vs --baseline; 5 batch headline below --gate-batch; 6 n=10\n"
+    "cell below --gate-small-n; 7 obs overhead gate; 8 fault overhead gate;\n"
+    "9 repl overhead gate.\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const CliFlags flags(argc, argv);
+    if (flags.has("help")) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
     const bool quick = flags.get_bool("quick", false);
     bench::BenchSetup setup(flags, /*default_sets=*/quick ? 1 : 3);
     bench::banner("perf suite: demand-kernel hot paths, old vs new",

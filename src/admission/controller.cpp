@@ -5,11 +5,9 @@
 #include <stdexcept>
 
 #include "admission/snapshot.hpp"
-#include "analysis/multi/global_tests.hpp"
 #include "obs/obs.hpp"
 #include "persist/journal.hpp"
 #include "query/query.hpp"
-#include "sim/oracle.hpp"
 
 namespace edfkit {
 
@@ -21,14 +19,13 @@ static_assert(obs::kTraceRungs == kAdmissionRungs,
 namespace {
 
 /// Rung-3 / verification analyses route through the unified query API
-/// (certificates off: the controller keeps its own instrumentation and
-/// the hot path must not pay a construction sweep). The WorkloadView
-/// hands the resident set to the backend zero-copy — escalations no
-/// longer materialize a snapshot or copy it into a Workload.
-FeasibilityResult query_exact(const TaskSet& ts, TestKind kind,
-                              const AnalyzerOptions& opts) {
+/// with the backend's default parameters (certificates off: the
+/// controller keeps its own instrumentation and the hot path must not
+/// pay a construction sweep). The WorkloadView hands the resident set
+/// to the backend zero-copy.
+FeasibilityResult query_exact(const TaskSet& ts, TestKind kind) {
   if (ts.empty()) return make_verdict(Verdict::Feasible);
-  return Query::single(kind, params_from_legacy(kind, opts))
+  return Query::single(kind)
       .with_certificates(false)
       .run(WorkloadView(ts))
       .analysis;
@@ -51,15 +48,17 @@ struct DecisionProbe {
   std::size_t ws = 0;   // write_shard(), looked up once per decision
   obs::DecisionTrace tr;
 
+  /// `group_size` is 0 for a single arrival (try_admit).
   DecisionProbe(const obs::AdmissionInstruments* metrics,
-                obs::TraceRing* trace,
-                std::uint64_t compactions_now) noexcept
+                obs::TraceRing* trace, std::uint64_t compactions_now,
+                std::size_t group_size) noexcept
       : m(metrics), ring(trace),
         active(metrics != nullptr || trace != nullptr) {
     if (!active) return;
     t0 = t_rung = obs::now_ticks();
     compactions0 = compactions_now;
     tr.rungs_entered = 1;  // every decision starts on Structural
+    tr.group_size = static_cast<std::uint32_t>(group_size);
     if (m != nullptr) ws = obs::write_shard();
   }
 
@@ -95,13 +94,14 @@ struct DecisionProbe {
     tr.segments_fast_forwarded += c.segments_fast_forwarded;
   }
 
+  /// A rejected group's tentative inserts were withdrawn. A single
+  /// arrival's withdrawal is not a group rollback and is not counted.
   void rollback() noexcept {
-    if (active) tr.rollback = true;
+    if (active && tr.group_size > 0) tr.rollback = true;
   }
 
   void finish(bool admitted, AdmissionRung rung, std::uint64_t sequence,
-              TaskId id, std::size_t group_size,
-              std::uint64_t compactions_now) noexcept {
+              TaskId id, std::uint64_t compactions_now) noexcept {
     if (!active) return;
     const std::uint64_t now = obs::now_ticks();
     tr.rung_ns[cur] += now - t_rung;
@@ -117,7 +117,6 @@ struct DecisionProbe {
     }
     tr.sequence = sequence;
     tr.task_id = id;
-    tr.group_size = static_cast<std::uint32_t>(group_size);
     tr.admitted = admitted;
     tr.rung = static_cast<std::uint8_t>(rung);
     if (m != nullptr) {
@@ -135,7 +134,7 @@ struct DecisionProbe {
       if (admitted) {
         m->rung_admits[static_cast<std::size_t>(rung)].add_at(ws);
       }
-      if (group_size > 0) m->group_decisions.add_at(ws);
+      if (tr.group_size > 0) m->group_decisions.add_at(ws);
       if (tr.rollback) m->rollbacks.add_at(ws);
       const std::uint64_t compacted = compactions_now - compactions0;
       if (compacted != 0) m->tombstone_compactions.add_at(ws, compacted);
@@ -177,9 +176,7 @@ Certificate decision_certificate(const FeasibilityResult& analysis,
 }
 
 /// One settled pass of the global-EDF admission ladder over the widened
-/// (candidate-resident) set. Rung mapping mirrors the header comment:
-/// Utilization = GFB + its O(n) infeasibility gates, Approximate = the
-/// window sufficient tests, Exact = global RTA then the decisive sim.
+/// (candidate-resident) set.
 struct GlobalLadderOutcome {
   bool accept = false;
   AdmissionRung rung = AdmissionRung::Utilization;
@@ -198,74 +195,42 @@ void fold_instrumentation(FeasibilityResult& acc,
   acc.degraded = acc.degraded || r.degraded;
 }
 
+/// The rung a global backend reports under (see the header comment):
+/// GFB and its O(n) infeasibility gates are Utilization, the window
+/// sufficient tests Approximate, RTA and the decisive sim Exact.
+AdmissionRung global_rung(TestKind kind) noexcept {
+  switch (kind) {
+    case TestKind::GfbDensity: return AdmissionRung::Utilization;
+    case TestKind::GlobalRta:
+    case TestKind::GlobalSim: return AdmissionRung::Exact;
+    default: return AdmissionRung::Approximate;
+  }
+}
+
+/// Walk default_ladder_kinds(p) through the registry: the first
+/// decisive verdict settles; skip_exact stops before the Exact rung
+/// with Unknown (no infeasibility proof).
 GlobalLadderOutcome run_global_ladder(const TaskSet& widened,
                                       const Platform& p, bool skip_exact,
                                       DecisionProbe& probe) {
   GlobalLadderOutcome out;
-
-  // Rung 1 (Utilization): GFB density accept + the O(n) infeasibility
-  // gates (U > m capacity, C_i > D_i overlong job) it owns.
-  const FeasibilityResult gfb = multi::gfb_density_test(widened, p);
-  fold_instrumentation(out.analysis, gfb);
-  if (gfb.verdict != Verdict::Unknown) {
-    out.accept = gfb.verdict == Verdict::Feasible;
-    out.analysis.verdict = gfb.verdict;
-    out.analysis.witness = gfb.witness;
-    return out;
-  }
-
-  // Rung 2 (Approximate): window sufficient tests, cheapest first. They
-  // answer Feasible or Unknown, never Infeasible.
-  probe.enter(AdmissionRung::Approximate);
-  using WindowTest = FeasibilityResult (*)(const TaskSet&, const Platform&);
-  const std::pair<TestKind, WindowTest> windows[] = {
-      {TestKind::GlobalBcl,
-       [](const TaskSet& ts, const Platform& pp) {
-         return multi::global_bcl_test(ts, pp);
-       }},
-      {TestKind::GlobalBclIterative,
-       [](const TaskSet& ts, const Platform& pp) {
-         return multi::global_bcl_iterative_test(ts, pp);
-       }},
-      {TestKind::GlobalLoad,
-       [](const TaskSet& ts, const Platform& pp) {
-         return multi::global_load_test(ts, pp);
-       }},
-  };
-  for (const auto& [kind, run] : windows) {
-    const FeasibilityResult r = run(widened, p);
-    fold_instrumentation(out.analysis, r);
-    if (r.verdict == Verdict::Feasible) {
-      out.accept = true;
-      out.rung = AdmissionRung::Approximate;
-      out.decided_by = kind;
-      out.analysis.verdict = Verdict::Feasible;
-      return out;
+  const BackendRegistry& registry = BackendRegistry::instance();
+  for (const TestKind kind : default_ladder_kinds(p)) {
+    const AdmissionRung rung = global_rung(kind);
+    if (rung == AdmissionRung::Exact && skip_exact) break;
+    if (rung != out.rung) {
+      probe.enter(rung);
+      out.rung = rung;
     }
+    const FeasibilityResult r =
+        registry.find(kind)->run(widened, p, default_params(kind));
+    fold_instrumentation(out.analysis, r);
+    out.decided_by = kind;
+    out.analysis.verdict = r.verdict;
+    out.analysis.witness = r.witness;
+    if (r.verdict != Verdict::Unknown) break;
   }
-  if (skip_exact) {
-    out.rung = AdmissionRung::Approximate;
-    out.analysis.verdict = Verdict::Unknown;  // no infeasibility proof
-    return out;
-  }
-
-  // Rung 3 (Exact): global RTA, then the decisive simulation rung.
-  probe.enter(AdmissionRung::Exact);
-  out.rung = AdmissionRung::Exact;
-  const FeasibilityResult rta = multi::global_rta_test(widened, p);
-  fold_instrumentation(out.analysis, rta);
-  if (rta.verdict == Verdict::Feasible) {
-    out.accept = true;
-    out.decided_by = TestKind::GlobalRta;
-    out.analysis.verdict = Verdict::Feasible;
-    return out;
-  }
-  const FeasibilityResult sim = simulate_global_feasibility(widened, p.m);
-  fold_instrumentation(out.analysis, sim);
-  out.decided_by = TestKind::GlobalSim;
-  out.analysis.verdict = sim.verdict;
-  out.analysis.witness = sim.witness;
-  out.accept = sim.verdict == Verdict::Feasible;
+  out.accept = out.analysis.verdict == Verdict::Feasible;
   return out;
 }
 
@@ -349,152 +314,15 @@ AdmissionDecision AdmissionController::try_admit(const Task& t) {
   // so journal replay re-runs this exact call (rejections included —
   // their tentative insert consumes a TaskId and may learn refinement).
   if (journal_ != nullptr) journal_->append(journal_codec::admit(t));
+  GroupDecision g = decide(std::span<const Task>(&t, 1), /*group=*/false);
   AdmissionDecision d;
-  d.sequence = ++sequence_;
-  ++stats_.arrivals;
-  // Probe clock starts after the WAL append: rung timings measure
-  // ladder work; journal latency has its own histograms.
-  DecisionProbe probe(metrics_, trace_, demand_.compactions());
-
-  const auto settle = [&](bool admitted, AdmissionRung rung) {
-    d.admitted = admitted;
-    d.rung = rung;
-    ++(admitted ? stats_.admitted : stats_.rejected);
-    ++stats_.by_rung[static_cast<std::size_t>(rung)];
-    stats_.total_effort += d.analysis.effort();
-    if (opts_.return_certificate && opts_.platform.uniprocessor()) {
-      d.certificate =
-          decision_certificate(d.analysis, admitted, demand_.resident());
-    }
-    probe.finish(admitted, rung, d.sequence, d.id, 0,
-                 demand_.compactions());
-    return d;
-  };
-
-  // Policy gates: no analysis, verdict stays Unknown. The utilization
-  // cap is a fraction of platform capacity (m processors).
-  if (opts_.max_tasks != 0 && demand_.size() >= opts_.max_tasks) {
-    return settle(false, AdmissionRung::Structural);
-  }
-  if (opts_.utilization_cap < 1.0 &&
-      demand_.utilization_double() + t.utilization_double() >
-          opts_.utilization_cap * static_cast<double>(opts_.platform.m)) {
-    return settle(false, AdmissionRung::Structural);
-  }
-
-  if (global_mode()) {
-    // Global ladder over the widened set: tentative insert (the add is
-    // journaled above and consumes a TaskId even on reject, exactly
-    // like the uniprocessor rung-2 path), one settled ladder pass, and
-    // exact-inverse rollback on reject. The demand store's epsilon
-    // machinery keeps its aggregates maintained but takes no part in
-    // the verdict.
-    probe.enter(AdmissionRung::Utilization);
-    const TaskId id = demand_.add(t);
-    const GlobalLadderOutcome g = run_global_ladder(
-        demand_.resident(), opts_.platform, opts_.skip_exact, probe);
-    d.analysis = g.analysis;
-    if (opts_.return_certificate &&
-        (g.accept || d.analysis.verdict == Verdict::Infeasible)) {
-      // Certify while the widened set is still materialized: the
-      // certificate's claim is about resident + candidate either way.
-      if (auto cert = build_multiprocessor_certificate(
-              demand_.resident(), opts_.platform, g.decided_by,
-              d.analysis)) {
-        d.certificate = *std::move(cert);
-      }
-    }
-    if (g.accept) {
-      d.id = id;
-    } else {
-      demand_.remove(id);
-    }
-    return settle(g.accept, g.rung);
-  }
-
-  // Rung 1: exact utilization classification of the widened set, O(1)
-  // and mutation-free — saturation rejects touch no demand state at all.
-  probe.enter(AdmissionRung::Utilization);
-  d.analysis.iterations = 1;
-  const UtilizationClass uc = demand_.utilization_class_with(t);
-  if (uc == UtilizationClass::AboveOne) {
-    d.analysis.verdict = Verdict::Infeasible;
-    return settle(false, AdmissionRung::Utilization);
-  }
-  d.analysis.degraded = (uc == UtilizationClass::Marginal);
-  if (uc != UtilizationClass::Marginal &&
-      demand_.constrained_tasks() == 0 &&
-      t.effective_deadline() >= t.period) {
-    // Every deadline (candidate included) is at least its period:
-    // U <= 1 is exact (EDF optimality, cf. liu_layland_test).
-    d.admitted = true;
-    d.id = demand_.add(t);
-    d.analysis.verdict = Verdict::Feasible;
-    return settle(true, AdmissionRung::Utilization);
-  }
-
-  // Rung 2 fast path: the slack certificate from the last scan proves
-  // the arrival's density fits — O(1), no scan.
-  probe.enter(AdmissionRung::Approximate);
-  const bool covered = demand_.certificate_covers(t);
-  probe.cover(covered);
-  if (covered) {
-    d.admitted = true;
-    d.id = demand_.add(t);
-    d.analysis.verdict = Verdict::Feasible;
-    return settle(true, AdmissionRung::Approximate);
-  }
-
-  // Rung 2: epsilon-approximate demand scan, O(n*k). Tentatively widen
-  // the incremental state; every update is exact-inverse, so a
-  // rejecting rung restores it by removal.
-  const TaskId id = demand_.add(t);
-  const DemandCheck c = demand_.check();
-  probe.scan(c);
-  d.analysis.iterations += c.iterations;
-  d.analysis.revisions += c.revisions;
-  d.analysis.max_interval_tested = c.max_interval_tested;
-  d.analysis.degraded = d.analysis.degraded || c.degraded;
-  if (c.fits) {
-    d.admitted = true;
-    d.id = id;
-    d.analysis.verdict = Verdict::Feasible;
-    return settle(true, AdmissionRung::Approximate);
-  }
-  // The hybrid path found exact dbf(w) > w: a full infeasibility proof
-  // with no exact-test escalation.
-  if (c.overflow_proof) {
-    demand_.remove(id);
-    d.analysis.witness = c.witness;
-    d.analysis.verdict = Verdict::Infeasible;
-    return settle(false, AdmissionRung::Approximate);
-  }
-  if (opts_.skip_exact) {
-    demand_.remove(id);
-    d.analysis.witness = c.witness;
-    d.analysis.verdict = Verdict::Unknown;  // no infeasibility proof
-    return settle(false, AdmissionRung::Approximate);
-  }
-
-  // Rung 3: exact fallback over the resident set, zero-copy (includes
-  // the candidate) — the only from-scratch rung, for borderline sets.
-  probe.enter(AdmissionRung::Exact);
-  const FeasibilityResult exact =
-      query_exact(demand_.resident(), opts_.exact_fallback, opts_.analyzer);
-  d.analysis.verdict = exact.verdict;
-  d.analysis.iterations += exact.iterations;
-  d.analysis.revisions += exact.revisions;
-  d.analysis.witness = exact.witness;
-  d.analysis.max_interval_tested =
-      std::max(d.analysis.max_interval_tested, exact.max_interval_tested);
-  d.analysis.degraded = d.analysis.degraded || exact.degraded;
-  if (exact.feasible()) {
-    d.admitted = true;
-    d.id = id;
-    return settle(true, AdmissionRung::Exact);
-  }
-  demand_.remove(id);
-  return settle(false, AdmissionRung::Exact);
+  d.admitted = g.admitted;
+  d.id = g.admitted ? g.ids.front() : kInvalidTaskId;
+  d.rung = g.rung;
+  d.analysis = g.analysis;
+  d.sequence = g.sequence;
+  d.certificate = std::move(g.certificate);
+  return d;
 }
 
 GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
@@ -502,16 +330,24 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
   if (journal_ != nullptr) {
     journal_->append(journal_codec::admit_group(group));
   }
+  return decide(group, /*group=*/true);
+}
+
+GroupDecision AdmissionController::decide(std::span<const Task> tasks,
+                                          bool group) {
   GroupDecision d;
   d.sequence = ++sequence_;
-  ++stats_.groups;
-  stats_.arrivals += group.size();
-  DecisionProbe probe(metrics_, trace_, demand_.compactions());
+  if (group) ++stats_.groups;
+  stats_.arrivals += tasks.size();
+  // Probe clock starts after the WAL append: rung timings measure
+  // ladder work; journal latency has its own histograms.
+  DecisionProbe probe(metrics_, trace_, demand_.compactions(),
+                      group ? tasks.size() : 0);
 
   const auto settle = [&](bool admitted, AdmissionRung rung) {
     d.admitted = admitted;
     d.rung = rung;
-    (admitted ? stats_.admitted : stats_.rejected) += group.size();
+    (admitted ? stats_.admitted : stats_.rejected) += tasks.size();
     ++stats_.by_rung[static_cast<std::size_t>(rung)];
     stats_.total_effort += d.analysis.effort();
     if (!admitted) d.ids.clear();
@@ -521,58 +357,65 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
     }
     probe.finish(admitted, rung, d.sequence,
                  d.ids.empty() ? kInvalidTaskId : d.ids.front(),
-                 group.size(), demand_.compactions());
+                 demand_.compactions());
     return d;
   };
 
-  if (group.empty()) {
+  if (tasks.empty()) {
     // Vacuous: the resident set is unchanged and (by the standing
     // invariant) feasible.
     d.analysis.verdict = Verdict::Feasible;
     return settle(true, AdmissionRung::Structural);
   }
 
-  // Policy gates over the whole group.
-  if (opts_.max_tasks != 0 &&
-      demand_.size() + group.size() > opts_.max_tasks) {
-    return settle(false, AdmissionRung::Structural);
-  }
+  // Policy gate: no analysis, verdict stays Unknown. The utilization
+  // cap is a fraction of platform capacity (m processors).
   if (opts_.utilization_cap < 1.0) {
     double u = demand_.utilization_double();
-    for (const Task& t : group) u += t.utilization_double();
+    for (const Task& t : tasks) u += t.utilization_double();
     if (u > opts_.utilization_cap * static_cast<double>(opts_.platform.m)) {
       return settle(false, AdmissionRung::Structural);
     }
   }
 
+  // Every rejecting rung below withdraws the tentative inserts
+  // exact-inverse (membership and aggregates return to their pre-call
+  // values; refinement the scan learned is kept). The withdrawn ids
+  // stay consumed.
+  const auto rollback = [&] {
+    (void)demand_.remove_group(d.ids);
+    probe.rollback();
+  };
+
   if (global_mode()) {
-    // All-or-nothing under the global ladder: fused insert, one settled
-    // ladder pass over the whole widened set, exact-inverse rollback on
-    // reject (membership and aggregates restore to pre-call values).
+    // Global ladder over the widened set: tentative insert, one settled
+    // ladder pass, rollback on reject. The demand store's epsilon
+    // machinery keeps its aggregates maintained but takes no part in
+    // the verdict.
     probe.enter(AdmissionRung::Utilization);
-    demand_.add_group(group, d.ids);
+    demand_.add_group(tasks, d.ids);
     const GlobalLadderOutcome g = run_global_ladder(
         demand_.resident(), opts_.platform, opts_.skip_exact, probe);
     d.analysis = g.analysis;
     if (opts_.return_certificate &&
         (g.accept || d.analysis.verdict == Verdict::Infeasible)) {
+      // Certify while the widened set is still materialized: the
+      // certificate's claim is about resident + candidates either way.
       if (auto cert = build_multiprocessor_certificate(
               demand_.resident(), opts_.platform, g.decided_by,
               d.analysis)) {
         d.certificate = *std::move(cert);
       }
     }
-    if (!g.accept) {
-      (void)demand_.remove_group(d.ids);
-      probe.rollback();
-    }
+    if (!g.accept) rollback();
     return settle(g.accept, g.rung);
   }
 
-  // Rung 1: one exact utilization classification of the widened set.
+  // Rung 1: exact utilization classification of the widened set,
+  // mutation-free — saturation rejects touch no demand state at all.
   probe.enter(AdmissionRung::Utilization);
   d.analysis.iterations = 1;
-  const UtilizationClass uc = demand_.utilization_class_with(group);
+  const UtilizationClass uc = demand_.utilization_class_with(tasks);
   if (uc == UtilizationClass::AboveOne) {
     d.analysis.verdict = Verdict::Infeasible;
     return settle(false, AdmissionRung::Utilization);
@@ -580,47 +423,35 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
   d.analysis.degraded = (uc == UtilizationClass::Marginal);
   bool implicit = uc != UtilizationClass::Marginal &&
                   demand_.constrained_tasks() == 0;
-  if (implicit) {
-    for (const Task& t : group) {
-      implicit = implicit && t.effective_deadline() >= t.period;
-    }
+  for (const Task& t : tasks) {
+    implicit = implicit && t.effective_deadline() >= t.period;
   }
   if (implicit) {
-    // Every deadline (group included) is at least its period: U <= 1
+    // Every deadline (arrivals included) is at least its period: U <= 1
     // is exact (EDF optimality, cf. liu_layland_test).
-    demand_.add_group(group, d.ids);
+    demand_.add_group(tasks, d.ids);
     d.analysis.verdict = Verdict::Feasible;
     return settle(true, AdmissionRung::Utilization);
   }
 
-  // Rung 2: certificate-covered members admit O(1) in sequence (each
-  // add charges the certificate, so cover-then-add stays sound); from
-  // the first uncovered member on, the rest insert fused and *one*
-  // certified scan decides the whole widened set. A group of one
-  // degenerates exactly to try_admit's ladder.
+  // Rung 2 fast path: certificate-covered arrivals admit O(1) in
+  // sequence (each add charges the certificate, so cover-then-add stays
+  // sound). From the first uncovered one on, the rest insert fused and
+  // *one* certified O(n*k) scan decides the whole widened set.
   probe.enter(AdmissionRung::Approximate);
   std::size_t covered = 0;
-  while (covered < group.size() &&
-         demand_.certificate_covers(group[covered])) {
-    d.ids.push_back(demand_.add(group[covered]));
+  while (covered < tasks.size() &&
+         demand_.certificate_covers(tasks[covered])) {
+    d.ids.push_back(demand_.add(tasks[covered]));
     ++covered;
   }
-  probe.cover(covered == group.size());
-  if (covered == group.size()) {
+  probe.cover(covered == tasks.size());
+  if (covered == tasks.size()) {
     d.analysis.verdict = Verdict::Feasible;
     return settle(true, AdmissionRung::Approximate);
   }
-  demand_.add_group(group.subspan(covered), d.ids);
-
-  // One certified scan for the whole group. With rollback_refinements,
-  // refinements are logged so a rejection can restore pre-scan levels
-  // (bit-identical rollback); by default a rejected group keeps the
-  // learned refinement, like single-task rejects — discarding it would
-  // force every subsequent scan to re-learn the tight region.
-  IncrementalDemand::RefineLog log;
-  const DemandCheck c = demand_.check(
-      64 + 8 * static_cast<std::uint64_t>(demand_.size()),
-      opts_.rollback_refinements ? &log : nullptr);
+  demand_.add_group(tasks.subspan(covered), d.ids);
+  const DemandCheck c = demand_.check();
   probe.scan(c);
   d.analysis.iterations += c.iterations;
   d.analysis.revisions += c.revisions;
@@ -630,11 +461,8 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
     d.analysis.verdict = Verdict::Feasible;
     return settle(true, AdmissionRung::Approximate);
   }
-  const auto rollback = [&] {
-    (void)demand_.remove_group(d.ids);
-    demand_.undo_refinements(log);
-    probe.rollback();
-  };
+  // The hybrid path found exact dbf(w) > w: a full infeasibility proof
+  // with no exact-test escalation.
   if (c.overflow_proof) {
     rollback();
     d.analysis.witness = c.witness;
@@ -648,11 +476,11 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
     return settle(false, AdmissionRung::Approximate);
   }
 
-  // Rung 3: one exact fallback over the widened resident set (the
-  // group is tentatively resident), zero-copy.
+  // Rung 3: exact fallback over the widened resident set, zero-copy —
+  // the only from-scratch rung, for borderline sets.
   probe.enter(AdmissionRung::Exact);
   const FeasibilityResult exact =
-      query_exact(demand_.resident(), opts_.exact_fallback, opts_.analyzer);
+      query_exact(demand_.resident(), opts_.exact_fallback);
   d.analysis.verdict = exact.verdict;
   d.analysis.iterations += exact.iterations;
   d.analysis.revisions += exact.revisions;
@@ -660,9 +488,7 @@ GroupDecision AdmissionController::admit_group(std::span<const Task> group) {
   d.analysis.max_interval_tested =
       std::max(d.analysis.max_interval_tested, exact.max_interval_tested);
   d.analysis.degraded = d.analysis.degraded || exact.degraded;
-  if (exact.feasible()) {
-    return settle(true, AdmissionRung::Exact);
-  }
+  if (exact.feasible()) return settle(true, AdmissionRung::Exact);
   rollback();
   return settle(false, AdmissionRung::Exact);
 }
@@ -703,25 +529,7 @@ const Task* AdmissionController::find(TaskId id) const noexcept {
 }
 
 FeasibilityResult AdmissionController::analyze_resident(TestKind kind) const {
-  return query_exact(demand_.resident(), kind, opts_.analyzer);
-}
-
-std::vector<TestKind> admission_ladder_tests(const AdmissionOptions& opts) {
-  if (!opts.platform.uniprocessor()) {
-    // Global mode: GFB + window tests, then (unless skip_exact) the RTA
-    // and decisive simulation rungs — the order run_global_ladder runs.
-    std::vector<TestKind> kinds = {
-        TestKind::GfbDensity, TestKind::GlobalBcl,
-        TestKind::GlobalBclIterative, TestKind::GlobalLoad};
-    if (!opts.skip_exact) {
-      kinds.push_back(TestKind::GlobalRta);
-      kinds.push_back(TestKind::GlobalSim);
-    }
-    return kinds;
-  }
-  // The ladder is the query layer's default escalation: the registry's
-  // incremental backends, then the configured exact fallback.
-  return default_ladder_kinds(opts.exact_fallback, !opts.skip_exact);
+  return query_exact(demand_.resident(), kind);
 }
 
 }  // namespace edfkit

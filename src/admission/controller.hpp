@@ -12,8 +12,11 @@
 ///      epsilon-approximated dbf' (incremental_dbf.hpp). A pass is a
 ///      feasibility proof (sound accept); a fail escalates.
 ///   3. Exact fallback — a configurable exact test (QPA by default)
-///      over a materialized snapshot; this is the only rung that pays
+///      over the resident set; this is the only rung that pays
 ///      from-scratch cost, and only borderline sets reach it.
+///
+/// try_admit and admit_group share one decision function: a single
+/// arrival is decided as a one-task group.
 ///
 /// Removals are free: the demand bound function decreases pointwise and
 /// utilization decreases, so a feasible resident set stays feasible —
@@ -21,10 +24,11 @@
 /// FeasibilityResult-compatible instrumentation record.
 ///
 /// Global mode (AdmissionOptions::platform.m > 1): one controller admits
-/// against m identical processors under global EDF. The ladder reshapes
-/// onto the multiprocessor portfolio (analysis/multi/global_tests.hpp),
-/// mapped onto the same rung names so stats, traces, and wire STATS stay
-/// comparable with partitioned deployments:
+/// against m identical processors under global EDF. The ladder walks
+/// the multiprocessor portfolio in default_ladder_kinds(Platform) order
+/// (query/query.hpp) through the backend registry, mapped onto the same
+/// rung names so stats, traces, and wire STATS stay comparable with
+/// partitioned deployments:
 ///   Utilization — U > m capacity reject (exact rationals) + the GFB
 ///                 density accept, both O(n);
 ///   Approximate — the window sufficient tests (BCL, iterated BCL,
@@ -49,9 +53,9 @@
 #include <vector>
 
 #include "admission/incremental_dbf.hpp"
-#include "core/analyzer.hpp"
 #include "model/platform.hpp"
 #include "query/certificate.hpp"
+#include "query/registry.hpp"
 
 namespace edfkit {
 
@@ -67,7 +71,7 @@ struct AdmissionInstruments;
 
 /// Which ladder rung produced a decision.
 enum class AdmissionRung : std::uint8_t {
-  Structural,   ///< capacity policy (max_tasks / utilization_cap), no analysis
+  Structural,   ///< capacity policy (utilization_cap), no analysis
   Utilization,  ///< rung 1: exact U-vs-1 classification
   Approximate,  ///< rung 2: epsilon-approximate demand scan
   Exact,        ///< rung 3: exact fallback test
@@ -82,16 +86,13 @@ struct AdmissionOptions {
   /// scans more checkpoints. (Refinement deepens individual tasks on
   /// demand, so the paper's standard 0.25 is a good default.)
   double epsilon = 0.25;
-  /// Exact test run when the approximate rung cannot accept. Must be a
-  /// kind with is_exact() == true (checked at construction).
+  /// Exact test run, with its default parameters (default_params in
+  /// query/options.hpp), when the approximate rung cannot accept. Must
+  /// be a kind with is_exact() == true (checked at construction).
   TestKind exact_fallback = TestKind::Qpa;
-  /// Options forwarded to the fallback test.
-  AnalyzerOptions analyzer;
   /// Policy headroom: reject arrivals that would push the utilization
   /// estimate above this value, before any analysis. 1.0 disables.
   double utilization_cap = 1.0;
-  /// Reject arrivals beyond this resident count. 0 disables.
-  std::size_t max_tasks = 0;
   /// Skip rung 3 entirely: borderline arrivals are rejected after the
   /// approximate scan (bounded worst-case decision latency).
   bool skip_exact = false;
@@ -107,13 +108,6 @@ struct AdmissionOptions {
   /// selectable for the perf_suite removal baseline and differential
   /// tests). Verdicts are identical either way.
   bool eager_compaction = false;
-  /// On a rejected admit_group, also restore the refinement levels the
-  /// failing scan raised, leaving the store bit-identical to its
-  /// pre-call state. Off (default), a rejected group keeps the learned
-  /// refinement — exactly like single-task rejects — which is what
-  /// keeps steady-state scans cheap under sustained group churn;
-  /// membership and aggregates are restored exact-inverse either way.
-  bool rollback_refinements = false;
   /// Attach a machine-checkable certificate (query/certificate.hpp) to
   /// every decision that proves something: a feasibility certificate on
   /// admits, an infeasibility certificate on proven rejects (policy and
@@ -128,7 +122,7 @@ struct AdmissionOptions {
   /// (see the file comment). The utilization_cap policy gate scales with
   /// m (a cap of 0.9 means 0.9 * m admitted utilization); epsilon and
   /// exact_fallback apply only to the uniprocessor ladder. Serialized
-  /// with the controller (snapshot format v2).
+  /// with the controller.
   Platform platform;
 };
 
@@ -216,10 +210,10 @@ class AdmissionController {
   /// decides the widened set — one scan for g tasks instead of g scans.
   /// On rejection every insertion is rolled back exact-inverse: the
   /// resident membership and every aggregate return to their pre-call
-  /// values (with rollback_refinements, the refinement levels raised by
-  /// the failing scan too — a fully bit-identical store). An empty
-  /// group is trivially admitted. \throws std::invalid_argument for
-  /// invalid tasks (before any mutation).
+  /// values (refinement the failing scan learned is kept, as for a
+  /// rejected single arrival). An empty group is trivially admitted.
+  /// \throws std::invalid_argument for invalid tasks (before any
+  /// mutation).
   [[nodiscard]] GroupDecision admit_group(std::span<const Task> group);
 
   /// Withdraw a resident task. Feasibility is preserved by
@@ -297,6 +291,11 @@ class AdmissionController {
   /// Snapshot save/load reaches every field (admission/snapshot.cpp).
   friend struct SnapshotCodec;
 
+  /// The ladder itself, behind both try_admit (a one-task span, with
+  /// `group` false: no stats().groups count) and admit_group. The
+  /// caller has validated and journaled the offer.
+  [[nodiscard]] GroupDecision decide(std::span<const Task> tasks, bool group);
+
   AdmissionOptions opts_;
   IncrementalDemand demand_;
   AdmissionStats stats_;
@@ -306,11 +305,5 @@ class AdmissionController {
   const obs::AdmissionInstruments* metrics_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
 };
-
-/// The ladder's test selection as analyzer kinds, in escalation order —
-/// feed to BatchConfig::tests to preview offline what the online
-/// controller would run (see examples/batch_analyze.cpp --ladder).
-[[nodiscard]] std::vector<TestKind> admission_ladder_tests(
-    const AdmissionOptions& opts = {});
 
 }  // namespace edfkit

@@ -615,10 +615,6 @@ void IncrementalDemand::apply_entries(const Task& t, Time level, int sign,
 }
 
 void IncrementalDemand::refine(std::size_t row, Time to_level) {
-  if (refine_log_ != nullptr && refine_logged_[row] == 0) {
-    refine_logged_[row] = 1;
-    refine_log_->emplace_back(view_.slot_of(row), levels_[row]);
-  }
   const Task& t = view_.tasks()[row];
   apply_border(t, levels_[row], -1);
   apply_corners(t, levels_[row], to_level, +1);
@@ -629,41 +625,6 @@ void IncrementalDemand::refine(std::size_t row, Time to_level) {
                              : t.job_deadline(to_level - 1);
   // Refinement only lowers the approximated demand, so cached slack
   // bounds stay conservative — no adjustment needed.
-}
-
-void IncrementalDemand::lower_level(std::size_t row, Time to_level) {
-  const Task& t = view_.tasks()[row];
-  apply_border(t, levels_[row], -1);
-  apply_corners(t, to_level, levels_[row], -1);
-  apply_border(t, to_level, +1);
-  levels_[row] = to_level;
-  borders_of_row_[row] = is_time_infinite(t.period)
-                             ? kTimeInfinity
-                             : t.job_deadline(to_level - 1);
-}
-
-void IncrementalDemand::undo_refinements(const RefineLog& log) {
-  if (log.empty()) return;
-  bool changed = false;
-  for (const auto& [slot, old_level] : log) {
-    // Slots of tasks removed since the logged check (a rolled-back
-    // group's own members) are simply gone — their entries left with
-    // them.
-    if (!view_.contains(slot)) continue;
-    const std::size_t row = view_.row_of(slot);
-    if (levels_[row] <= old_level) continue;
-    lower_level(row, old_level);
-    changed = true;
-  }
-  if (changed) {
-    // Coarser levels raise the approximated demand, so every cached
-    // bound measured against the refined structure is now unsafe.
-    for (Segment& g : segs_) g.min_ratio = -1.0;
-    cert_region_.fill(-1);
-    cert_lo_ = -1;
-    cert_dead_ = true;
-  }
-  publish_header();
 }
 
 void IncrementalDemand::ensure_util() const {
@@ -943,15 +904,7 @@ DemandCheck IncrementalDemand::check() {
 }
 
 DemandCheck IncrementalDemand::check(std::uint64_t max_revisions) {
-  return check(max_revisions, nullptr);
-}
-
-DemandCheck IncrementalDemand::check(std::uint64_t max_revisions,
-                                     RefineLog* refine_log) {
-  refine_log_ = refine_log;
-  if (refine_log != nullptr) refine_logged_.assign(view_.size(), 0);
   const DemandCheck out = do_check(max_revisions);
-  refine_log_ = nullptr;
   publish_header();
   return out;
 }

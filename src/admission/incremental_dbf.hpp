@@ -298,12 +298,6 @@ class IncrementalDemand {
   /// slack theta, or -1 when no (non-negative) certificate is held.
   [[nodiscard]] Int128 certificate() const noexcept { return cert_lo_; }
 
-  /// Refinements performed by one check, as (slot, level-before) pairs
-  /// in first-touch order — enough to undo them exactly (group-admit
-  /// rollback). Slots of since-removed tasks are skipped by
-  /// undo_refinements.
-  using RefineLog = std::vector<std::pair<TaskView::Slot, Time>>;
-
   /// One ascending checkpoint scan with adaptive refinement (see file
   /// header); stops early once the linear envelope provably fits
   /// forever (I >= max deadline and (1-U)*I >= K). A passing scan
@@ -316,16 +310,6 @@ class IncrementalDemand {
   /// (the tests assert this).
   [[nodiscard]] DemandCheck check();  ///< default budget 64 + 8n
   [[nodiscard]] DemandCheck check(std::uint64_t max_revisions);
-  /// As check(max_revisions); additionally appends every refinement to
-  /// `*refine_log` so the caller can restore pre-scan levels.
-  [[nodiscard]] DemandCheck check(std::uint64_t max_revisions,
-                                  RefineLog* refine_log);
-
-  /// Lower every still-resident slot in `log` back to its recorded
-  /// level — the exact inverse of the refinements a logged check
-  /// performed. Invalidates the cached slack bounds (a coarser level
-  /// raises the approximated demand), which the next scan re-measures.
-  void undo_refinements(const RefineLog& log);
 
   /// Wait-free epoch-consistent aggregate snapshot; safe to call
   /// concurrently with one mutating thread (see file header).
@@ -448,9 +432,6 @@ class IncrementalDemand {
                   std::vector<Task>* withdrawn);
   /// Raise one resident row's level. \pre to_level > current level.
   void refine(std::size_t row, Time to_level);
-  /// Lower one resident row's level (refinement undo). \pre to_level <
-  /// current level.
-  void lower_level(std::size_t row, Time to_level);
   [[nodiscard]] Rational exact_demand_at(Time interval) const;
   void ensure_util() const;
 
@@ -517,12 +498,6 @@ class IncrementalDemand {
   std::size_t dead_steps_ = 0;        ///< Sigma segs_[i].dead
   std::size_t seg_built_steps_ = 0;   ///< live total at last resegment
   std::vector<Time> corner_scratch_;  ///< reused per-update buffer
-  /// Active refinement log (non-null only inside a logged check()).
-  RefineLog* refine_log_ = nullptr;
-  /// Per-row "already logged this check" flags (rows are stable within
-  /// one check — scans refine, never add/remove), so first-touch
-  /// logging is O(1) per refinement.
-  std::vector<std::uint8_t> refine_logged_;
   /// Exact Sigma C/T, materialized lazily (rational gcds are far too
   /// expensive to pay on every add/remove; the scaled bounds below are
   /// maintained incrementally and decide all but exact-equality cases).

@@ -48,11 +48,6 @@ ScaledPair decode_pair(ByteReader& r) {
   return p;
 }
 
-void encode_optional_time(ByteWriter& w, const std::optional<Time>& v) {
-  w.boolean(v.has_value());
-  w.i64(v.value_or(0));
-}
-
 std::optional<Time> decode_optional_time(ByteReader& r) {
   const bool has = r.boolean();
   const Time v = r.i64();
@@ -64,6 +59,38 @@ void encode_meta(persist::SectionWriter& sw, SnapshotKind kind,
   ByteWriter& w = sw.begin(kSecMeta);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(lsn);
+}
+
+/// Format v2 carried AdmissionOptions fields that v3 dropped. A v2
+/// image loads only while each holds its old default — the value v3
+/// behaves as — and is refused otherwise rather than decided
+/// differently from the run that wrote it.
+void expect_v2_default(bool is_default, const char* field) {
+  if (!is_default) {
+    throw PersistError(PersistErrc::BadValue,
+                       std::string("v2 snapshot sets dropped option ") +
+                           field);
+  }
+}
+
+/// The v2 legacy analyzer knobs, in their serialized order. Their
+/// defaults equal the default_params the exact rung runs.
+void decode_v2_analyzer(ByteReader& r) {
+  const DynamicTestOptions dyn;
+  const AllApproxOptions aa;
+  const ProcessorDemandOptions pd;
+  expect_v2_default(r.i64() == SuperPosParams{}.level, "superpos_level");
+  expect_v2_default(r.f64() == ChakrabortyParams{}.epsilon,
+                    "analyzer epsilon");
+  expect_v2_default(r.i64() == dyn.initial_level, "dynamic.initial_level");
+  expect_v2_default(r.i64() == dyn.growth_factor, "dynamic.growth_factor");
+  expect_v2_default(r.i64() == dyn.max_level, "dynamic.max_level");
+  expect_v2_default(decode_optional_time(r) == dyn.bound, "dynamic.bound");
+  expect_v2_default(decode_optional_time(r) == aa.bound, "all_approx.bound");
+  expect_v2_default(r.u8() == static_cast<std::uint8_t>(aa.revision),
+                    "all_approx.revision");
+  expect_v2_default(r.boolean() == pd.use_busy_period, "pd_use_busy_period");
+  expect_v2_default(r.u64() == pd.max_iterations, "pd_max_iterations");
 }
 
 SnapshotMeta decode_meta(const persist::SectionReader& sr,
@@ -245,11 +272,10 @@ std::vector<std::uint8_t> client_mark(const std::string& client,
 /// Field-for-field (de)serialization of the admission state. Every
 /// member the decision paths read is written out and restored verbatim
 /// — this is what makes a loaded store bit-identical to the live one.
-/// Transient scratch (corner buffer, refine-log plumbing, the lazily
-/// materialized exact rational) is reset instead, and the epoch header
-/// is re-published rather than restored (epoch counts publications of
-/// *this process*; readers compare header fields, not epochs, across
-/// restarts).
+/// Transient scratch (corner buffer, the lazily materialized exact
+/// rational) is reset instead, and the epoch header is re-published
+/// rather than restored (epoch counts publications of *this process*;
+/// readers compare header fields, not epochs, across restarts).
 struct SnapshotCodec {
   static void encode_demand(const IncrementalDemand& d, ByteWriter& w) {
     w.i64(d.k_);
@@ -423,8 +449,6 @@ struct SnapshotCodec {
     // Transient state restarts clean; the exact rational rematerializes
     // lazily from the (restored) resident rows.
     d.corner_scratch_.clear();
-    d.refine_log_ = nullptr;
-    d.refine_logged_.clear();
     d.util_ = Rational{};
     d.util_valid_ = false;
     d.publish_header();
@@ -435,24 +459,12 @@ struct SnapshotCodec {
     const AdmissionOptions& o = c.opts_;
     w.f64(o.epsilon);
     w.u32(static_cast<std::uint32_t>(o.exact_fallback));
-    w.i64(o.analyzer.superpos_level);
-    w.f64(o.analyzer.epsilon);
-    w.i64(o.analyzer.dynamic.initial_level);
-    w.i64(o.analyzer.dynamic.growth_factor);
-    w.i64(o.analyzer.dynamic.max_level);
-    encode_optional_time(w, o.analyzer.dynamic.bound);
-    encode_optional_time(w, o.analyzer.all_approx.bound);
-    w.u8(static_cast<std::uint8_t>(o.analyzer.all_approx.revision));
-    w.boolean(o.analyzer.pd_use_busy_period);
-    w.u64(o.analyzer.pd_max_iterations);
     w.f64(o.utilization_cap);
-    w.u64(o.max_tasks);
     w.boolean(o.skip_exact);
     w.boolean(o.use_slack_index);
     w.boolean(o.eager_compaction);
-    w.boolean(o.rollback_refinements);
     w.boolean(o.return_certificate);
-    w.u32(o.platform.m);  // format v2: global admission mode
+    w.u32(o.platform.m);
 
     const AdmissionStats& s = c.stats_;
     w.u64(s.arrivals);
@@ -467,7 +479,11 @@ struct SnapshotCodec {
     encode_demand(c.demand_, w);
   }
 
-  static void decode_controller(AdmissionController& c, ByteReader& r) {
+  /// `version` is the container's format version (v2 carries the
+  /// dropped option fields, which must hold their old defaults).
+  static void decode_controller(AdmissionController& c, ByteReader& r,
+                                std::uint32_t version) {
+    const bool v2 = version == 2;
     AdmissionOptions o;
     o.epsilon = r.f64();
     const std::uint32_t kind = r.u32();
@@ -475,28 +491,15 @@ struct SnapshotCodec {
       throw PersistError(PersistErrc::BadValue, "exact_fallback kind");
     }
     o.exact_fallback = static_cast<TestKind>(kind);
-    o.analyzer.superpos_level = r.i64();
-    o.analyzer.epsilon = r.f64();
-    o.analyzer.dynamic.initial_level = r.i64();
-    o.analyzer.dynamic.growth_factor = r.i64();
-    o.analyzer.dynamic.max_level = r.i64();
-    o.analyzer.dynamic.bound = decode_optional_time(r);
-    o.analyzer.all_approx.bound = decode_optional_time(r);
-    const std::uint8_t revision = r.u8();
-    if (revision > static_cast<std::uint8_t>(RevisionPolicy::MaxError)) {
-      throw PersistError(PersistErrc::BadValue, "revision policy");
-    }
-    o.analyzer.all_approx.revision = static_cast<RevisionPolicy>(revision);
-    o.analyzer.pd_use_busy_period = r.boolean();
-    o.analyzer.pd_max_iterations = r.u64();
+    if (v2) decode_v2_analyzer(r);
     o.utilization_cap = r.f64();
-    o.max_tasks = r.u64();
+    if (v2) expect_v2_default(r.u64() == 0, "max_tasks");
     o.skip_exact = r.boolean();
     o.use_slack_index = r.boolean();
     o.eager_compaction = r.boolean();
-    o.rollback_refinements = r.boolean();
+    if (v2) expect_v2_default(!r.boolean(), "rollback_refinements");
     o.return_certificate = r.boolean();
-    o.platform.m = r.u32();  // format v2
+    o.platform.m = r.u32();
     if (!platform_valid(o.platform)) {
       throw PersistError(PersistErrc::BadValue, "platform processor count");
     }
@@ -583,7 +586,7 @@ struct SnapshotCodec {
       }
       auto shard = std::make_unique<AdmissionEngine::Shard>(
           AdmissionOptions{});
-      decode_controller(shard->controller, w);
+      decode_controller(shard->controller, w, sr.version());
       shard->load.store(shard->controller.utilization(),
                         std::memory_order_relaxed);
       shard->publish();
@@ -673,8 +676,6 @@ struct SnapshotCodec {
     d.seg_built_steps_ = 0;
     d.index_engaged_ = false;
     d.corner_scratch_.clear();
-    d.refine_log_ = nullptr;
-    d.refine_logged_.clear();
     d.util_ = Rational{};
     d.util_valid_ = true;
     d.util_scaled_ = ScaledPair{};
@@ -733,7 +734,7 @@ SnapshotMeta load_snapshot(AdmissionController& out,
     const persist::SectionReader sr(persist::read_file(path));
     const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
     ByteReader r = sr.section(kSecController);
-    SnapshotCodec::decode_controller(out, r);
+    SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, path);
@@ -803,7 +804,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
     const persist::SectionReader sr(std::move(bytes));
     const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
     ByteReader r = sr.section(kSecController);
-    SnapshotCodec::decode_controller(out, r);
+    SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, "snapshot bytes");

@@ -91,16 +91,6 @@ BatchReport run_batch(const std::vector<BatchEntry>& entries,
   return report;
 }
 
-BatchReport run_batch(const std::vector<BatchEntry>& entries,
-                      const BatchConfig& config) {
-  Query q;
-  q.with_policy(ExecPolicy::Batch);
-  for (const TestKind k : config.tests) {
-    q.add(k, params_from_legacy(k, config.options));
-  }
-  return run_batch(entries, q);
-}
-
 namespace {
 
 std::vector<BatchEntry> load_entries(const std::vector<std::string>& paths) {
@@ -116,11 +106,6 @@ std::vector<BatchEntry> load_entries(const std::vector<std::string>& paths) {
 }
 
 }  // namespace
-
-BatchReport run_batch_files(const std::vector<std::string>& paths,
-                            const BatchConfig& config) {
-  return run_batch(load_entries(paths), config);
-}
 
 BatchReport run_batch_files(const std::vector<std::string>& paths,
                             const Query& query) {

@@ -6,14 +6,15 @@
 ///
 /// The batch runner is the query API's Batch execution policy applied
 /// per entry: `run_batch(entries, query)` takes any Query (its backend
-/// selection defines the column order) and runs it on every entry. The
-/// legacy `BatchConfig` path remains as a thin shim.
+/// selection defines the column order) and runs it on every entry. To
+/// preview the online admission controller's escalation ladder offline,
+/// pass `Query::batch(default_ladder_kinds(...))` — the batch_analyze
+/// example exposes that as `--ladder`.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "model/task_set.hpp"
 #include "query/query.hpp"
 #include "util/stats.hpp"
@@ -23,18 +24,6 @@ namespace edfkit {
 struct BatchEntry {
   std::string name;
   TaskSet tasks;
-};
-
-/// DEPRECATED legacy batch configuration; superseded by passing a Query.
-struct BatchConfig {
-  /// Tests to run per set, in column order. For previewing the online
-  /// admission controller's escalation ladder offline, populate this
-  /// from admission_ladder_tests() (admission/controller.hpp) — the
-  /// batch_analyze example exposes that as `--ladder`.
-  std::vector<TestKind> tests = {TestKind::Devi, TestKind::Dynamic,
-                                 TestKind::AllApprox,
-                                 TestKind::ProcessorDemand};
-  AnalyzerOptions options;
 };
 
 struct BatchCell {
@@ -68,21 +57,24 @@ struct BatchReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// The default column set: Devi's sufficient test, then the paper's two
+/// exact tests and processor demand as the exact reference.
+[[nodiscard]] inline Query default_batch_query() {
+  return Query::batch({TestKind::Devi, TestKind::Dynamic,
+                       TestKind::AllApprox, TestKind::ProcessorDemand});
+}
+
 /// Run `query`'s backend selection over every entry (Batch policy; the
 /// query's params and limits apply per backend). Rows keep input order.
-[[nodiscard]] BatchReport run_batch(const std::vector<BatchEntry>& entries,
-                                    const Query& query);
-
-/// DEPRECATED shim: translate the legacy config into a Query.
-[[nodiscard]] BatchReport run_batch(const std::vector<BatchEntry>& entries,
-                                    const BatchConfig& config = {});
+[[nodiscard]] BatchReport run_batch(
+    const std::vector<BatchEntry>& entries,
+    const Query& query = default_batch_query());
 
 /// Convenience: load every path as a task-set file and run the batch.
 /// \throws on unreadable/malformed files (fail fast — a CI gate should
 /// not silently skip inputs).
 [[nodiscard]] BatchReport run_batch_files(
-    const std::vector<std::string>& paths, const BatchConfig& config = {});
-[[nodiscard]] BatchReport run_batch_files(
-    const std::vector<std::string>& paths, const Query& query);
+    const std::vector<std::string>& paths,
+    const Query& query = default_batch_query());
 
 }  // namespace edfkit

@@ -1,7 +1,6 @@
 #include "net/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -40,13 +39,6 @@ namespace {
 /// bytes are ignored by a v1 client.
 constexpr bool version_ok(std::uint8_t v) noexcept {
   return v >= kMinProtocolVersion && v <= kProtocolVersion;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl O_NONBLOCK");
-  }
 }
 
 }  // namespace

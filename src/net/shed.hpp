@@ -34,9 +34,8 @@ struct ShedOptions {
   /// 0 disables depth shedding.
   std::size_t max_pending = 1024;
   /// Shed admits for a tenant whose resident count reached this. 0
-  /// disables. (Distinct from AdmissionOptions::max_tasks: that is a
-  /// *policy reject* — final, certified "no" — while shedding is "not
-  /// now", invisible to admission stats.)
+  /// disables. (Shedding is "not now", invisible to admission stats —
+  /// unlike a policy reject such as AdmissionOptions::utilization_cap.)
   std::size_t max_residents = 0;
   /// Shed admits for a tenant whose certified utilization upper bound
   /// reached this. >= 1.0 disables (the ladder itself settles U >= 1).

@@ -58,7 +58,7 @@ struct DecisionTrace {
   bool admitted = false;
   /// The decision settled via the O(1) certificate cover.
   bool cert_cover = false;
-  /// Group reject rolled back tentative inserts (and refinements).
+  /// Group reject rolled back its tentative inserts.
   bool rollback = false;
   /// Rung the ladder settled on (index into rung_name()).
   std::uint8_t rung = 0;

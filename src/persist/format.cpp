@@ -154,11 +154,12 @@ SectionReader::SectionReader(std::vector<std::uint8_t> bytes)
     if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
       throw PersistError(PersistErrc::BadMagic, "not an edfkit snapshot");
     }
-    const std::uint32_t version = r.u32();
-    if (version != kFormatVersion) {
+    version_ = r.u32();
+    if (version_ < kMinFormatVersion || version_ > kFormatVersion) {
       throw PersistError(PersistErrc::BadVersion,
-                         "format version " + std::to_string(version) +
+                         "format version " + std::to_string(version_) +
                              " (expected " +
+                             std::to_string(kMinFormatVersion) + ".." +
                              std::to_string(kFormatVersion) + ")");
     }
     const std::uint32_t count = r.u32();

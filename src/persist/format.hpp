@@ -33,11 +33,15 @@ namespace edfkit::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'E', 'D', 'F', 'K',
                                            'S', 'N', 'A', 'P'};
-/// v2: AdmissionOptions grew the execution platform (processor count)
-/// for global admission mode. v1 snapshots predate the field and are
-/// rejected (re-seed from the journal, which is operation-level and
-/// version-independent).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: AdmissionOptions dropped the legacy analyzer knobs, max_tasks
+/// and rollback_refinements. v2 files (which added the execution
+/// platform) still load: their snapshot decode accepts the dropped
+/// fields only at their old defaults (admission/snapshot.cpp). v1
+/// snapshots predate the platform field and are rejected (re-seed from
+/// the journal, which is operation-level and version-independent).
+inline constexpr std::uint32_t kFormatVersion = 3;
+/// Oldest container version SectionReader accepts.
+inline constexpr std::uint32_t kMinFormatVersion = 2;
 
 enum class PersistErrc : std::uint8_t {
   IoError,     ///< open/read/write/rename/fsync failed
@@ -117,8 +121,12 @@ class SectionWriter {
 /// Parses + CRC-verifies a container; hands out per-section readers.
 class SectionReader {
  public:
-  /// \throws PersistError on any framing/CRC problem.
+  /// \throws PersistError on any framing/CRC problem, or BadVersion
+  /// outside [kMinFormatVersion, kFormatVersion].
   explicit SectionReader(std::vector<std::uint8_t> bytes);
+
+  /// The container's format version (payload decoders branch on it).
+  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
   /// Reader over the payload of the first section with `id`.
   /// \throws PersistError{BadSection} when absent.
@@ -134,6 +142,7 @@ class SectionReader {
 
  private:
   std::vector<std::uint8_t> bytes_;
+  std::uint32_t version_ = kFormatVersion;
   std::vector<std::uint32_t> ids_;
   std::vector<std::pair<std::size_t, std::size_t>> spans_;  ///< offset, len
 };

@@ -35,10 +35,6 @@
 ///     CertificateCheck chk = verify(ts, glb.certificate);
 ///     // chk.valid: the accept re-established by independent replay
 ///   }
-///
-/// The deprecated `core/analyzer.hpp` facade (AnalyzerOptions, run_test,
-/// compare_all) remains as a shim over this API for one more release;
-/// it is deliberately NOT re-exported here.
 #pragma once
 
 #define EDFKIT_API_VERSION 2

@@ -1,13 +1,11 @@
 /// \file options.hpp
 /// Typed per-backend parameters for the unified query API.
 ///
-/// The legacy `AnalyzerOptions` was a kitchen-sink struct whose unrelated
-/// knobs (superpos level, epsilon, PD flags, ...) all travelled together
-/// and were never validated. Here every backend owns a small parameter
-/// struct; a query carries one `BackendParams` variant per selected
-/// backend and `validate_params` rejects out-of-range knobs at the API
-/// boundary — epsilon outside (0,1), superposition levels < 1 — with a
-/// descriptive `std::invalid_argument` instead of a degenerate scan.
+/// Every backend owns a small parameter struct; a query carries one
+/// `BackendParams` variant per selected backend and `validate_params`
+/// rejects out-of-range knobs at the API boundary — epsilon outside
+/// (0,1), superposition levels < 1 — with a descriptive
+/// `std::invalid_argument` instead of a degenerate scan.
 #pragma once
 
 #include <atomic>

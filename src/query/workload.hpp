@@ -41,8 +41,8 @@ class Workload {
   /// Empty periodic workload (rejected by Query::run — see query.hpp).
   Workload() : data_(TaskSet{}) {}
 
-  /// Implicit from a task set: lets existing call sites pass a TaskSet
-  /// straight to Query::run during migration from run_test.
+  /// Implicit from a task set: lets call sites pass a TaskSet straight
+  /// to Query::run.
   Workload(TaskSet ts) : data_(std::move(ts)) {}  // NOLINT(runtime/explicit)
 
   // Copies get a fresh expansion cache (a std::once_flag cannot be

@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "admission/replay.hpp"
-#include "core/analyzer.hpp"
+#include "analysis/processor_demand.hpp"
 #include "helpers.hpp"
+#include "query/query.hpp"
 
 namespace edfkit {
 namespace {
@@ -56,24 +57,15 @@ TEST(AdmissionController, UtilizationBoundaryExactlyOne) {
 }
 
 TEST(AdmissionController, PolicyGates) {
-  AdmissionOptions opts;
-  opts.max_tasks = 2;
-  AdmissionController ctl(opts);
-  EXPECT_TRUE(ctl.try_admit(tk(1, 10, 100)).admitted);
-  EXPECT_TRUE(ctl.try_admit(tk(1, 10, 100)).admitted);
-  const AdmissionDecision d = ctl.try_admit(tk(1, 10, 100));
-  EXPECT_FALSE(d.admitted);
-  EXPECT_EQ(d.rung, AdmissionRung::Structural);
-  EXPECT_EQ(d.analysis.verdict, Verdict::Unknown);  // policy, not analysis
-
   AdmissionOptions capped;
   capped.utilization_cap = 0.5;
-  AdmissionController ctl2(capped);
-  EXPECT_TRUE(ctl2.try_admit(tk(2, 10, 10)).admitted);   // U 0.2
-  EXPECT_TRUE(ctl2.try_admit(tk(2, 10, 10)).admitted);   // U 0.4
-  const AdmissionDecision over = ctl2.try_admit(tk(2, 10, 10));
+  AdmissionController ctl(capped);
+  EXPECT_TRUE(ctl.try_admit(tk(2, 10, 10)).admitted);   // U 0.2
+  EXPECT_TRUE(ctl.try_admit(tk(2, 10, 10)).admitted);   // U 0.4
+  const AdmissionDecision over = ctl.try_admit(tk(2, 10, 10));
   EXPECT_FALSE(over.admitted);
   EXPECT_EQ(over.rung, AdmissionRung::Structural);
+  EXPECT_EQ(over.analysis.verdict, Verdict::Unknown);  // policy, not analysis
 }
 
 TEST(AdmissionController, SkipExactModeStaysSound) {
@@ -148,8 +140,7 @@ TEST_P(ControllerChurnTest, VerdictsMatchFromScratchAfterEveryOp) {
       // From-scratch oracle on the widened set, before mutating.
       TaskSet widened = ctl.snapshot();
       widened.add(ev.task);
-      const bool oracle =
-          run_test(widened, TestKind::ProcessorDemand).feasible();
+      const bool oracle = processor_demand_test(widened).feasible();
       const AdmissionDecision d = ctl.try_admit(ev.task);
       ASSERT_EQ(d.admitted, oracle)
           << "op " << checked << " task " << ev.task.to_string() << "\n"
@@ -215,7 +206,7 @@ TEST(AdmissionController, CertificateCarryingDecisions) {
 
   // Policy rejects prove nothing and carry nothing.
   AdmissionOptions capped = opts;
-  capped.max_tasks = 1;
+  capped.utilization_cap = 0.15;
   AdmissionController small(capped);
   ASSERT_TRUE(small.try_admit(tk(1, 10, 10)).admitted);
   const AdmissionDecision p = small.try_admit(tk(1, 10, 10));
@@ -228,14 +219,16 @@ TEST(AdmissionController, CertificateCarryingDecisions) {
 }
 
 TEST(AdmissionLadder, TestSelectionIsDiscoverable) {
-  AdmissionOptions opts;
-  const std::vector<TestKind> kinds = admission_ladder_tests(opts);
+  // The controller's rungs, as query kinds: utilization, the
+  // epsilon-approximate scan, then the configured exact fallback.
+  const AdmissionOptions opts;
+  const std::vector<TestKind> kinds =
+      default_ladder_kinds(opts.exact_fallback, !opts.skip_exact);
   ASSERT_EQ(kinds.size(), 3u);
   EXPECT_EQ(kinds[0], TestKind::LiuLayland);
   EXPECT_EQ(kinds[1], TestKind::Chakraborty);
   EXPECT_EQ(kinds[2], opts.exact_fallback);
-  opts.skip_exact = true;
-  EXPECT_EQ(admission_ladder_tests(opts).size(), 2u);
+  EXPECT_EQ(default_ladder_kinds(opts.exact_fallback, false).size(), 2u);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "helpers.hpp"
 
 namespace edfkit {

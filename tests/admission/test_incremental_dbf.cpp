@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "analysis/chakraborty.hpp"
-#include "core/analyzer.hpp"
+#include "analysis/processor_demand.hpp"
 #include "demand/dbf.hpp"
 #include "helpers.hpp"
 
@@ -108,7 +108,7 @@ TEST(IncrementalDemand, RefinedCheckVerdictsAreExact) {
     IncrementalDemand d(0.25);
     for (const Task& t : ts) d.add(t);
     const DemandCheck c = d.check();
-    const bool feasible = run_test(ts, TestKind::ProcessorDemand).feasible();
+    const bool feasible = processor_demand_test(ts).feasible();
     if (c.fits) {
       EXPECT_TRUE(feasible) << ts.to_string();
       ++proofs;
@@ -137,8 +137,7 @@ TEST(IncrementalDemand, CertificateAdmitsAreSound) {
       ++covered;
       d.add(t);
       // The fast-path admit must preserve provable feasibility.
-      EXPECT_TRUE(run_test(d.snapshot(), TestKind::ProcessorDemand)
-                      .feasible())
+      EXPECT_TRUE(processor_demand_test(d.snapshot()).feasible())
           << d.snapshot().to_string();
     }
   }

@@ -15,6 +15,7 @@
 #include "admission/controller.hpp"
 #include "admission/engine.hpp"
 #include "admission/replay.hpp"
+#include "analysis/processor_demand.hpp"
 #include "demand/task_view.hpp"
 #include "helpers.hpp"
 #include "query/query.hpp"
@@ -177,12 +178,9 @@ TEST(GroupAdmit, OverUtilizationGroupRejectedWithoutMutation) {
   EXPECT_TRUE(ctl.verify_consistency());
 }
 
-TEST(GroupAdmit, RejectionRollbackLeavesStoreBitIdentical) {
+TEST(GroupAdmit, RejectionRollbackRestoresMembership) {
   AdmissionOptions opts;
   opts.skip_exact = true;  // force the rollback path on borderline sets
-  // Audit mode: also restore refinement levels raised by the failing
-  // scan (the default keeps them, like single-task rejects).
-  opts.rollback_refinements = true;
   AdmissionController ctl(opts);
   Rng rng(23);
   // Fill from a handful of moderate pools (whatever admits, admits).
@@ -196,9 +194,9 @@ TEST(GroupAdmit, RejectionRollbackLeavesStoreBitIdentical) {
   // Groups that pass the utilization rung (tiny u) but provably
   // overflow a tight deadline force the tentative-insert + rollback
   // path; drawn groups add variety (any reject must also roll back).
-  // The baseline is re-captured per trial: admitted trials
-  // legitimately leave learned refinement behind, but a *rejected*
-  // group must leave the live store bit-identical.
+  // The baseline is re-captured per trial: a rejected group keeps the
+  // refinement its scan learned (like a rejected single arrival), but
+  // membership and every aggregate return exact-inverse.
   int rejections = 0;
   for (int trial = 0; trial < 60 && rejections < 5; ++trial) {
     const TaskSet before = ctl.snapshot();
@@ -225,61 +223,12 @@ TEST(GroupAdmit, RejectionRollbackLeavesStoreBitIdentical) {
       EXPECT_EQ(before[i].deadline, after[i].deadline) << i;
       EXPECT_EQ(before[i].period, after[i].period) << i;
     }
-    // Live structure identical: counts match (rollback undoes the
-    // group's checkpoints *and* any refinement the failing scan
-    // performed) and the incremental aggregates still equal a
-    // from-scratch rebuild — tombstones left by the rollback are
-    // invisible.
-    EXPECT_EQ(ctl.demand_header().live_checkpoints,
-              h_before.live_checkpoints);
+    // The incremental aggregates still equal a from-scratch rebuild —
+    // tombstones left by the rollback are invisible.
     EXPECT_EQ(ctl.demand_header().residents, h_before.residents);
     ASSERT_TRUE(ctl.verify_consistency());
   }
   EXPECT_GT(rejections, 0);  // the rollback path actually ran
-
-  // Default mode (refinement kept): membership and aggregates still
-  // roll back exact-inverse — the store must match its own rebuild and
-  // keep the same residents after a rejected group.
-  AdmissionOptions fast = opts;
-  fast.rollback_refinements = false;
-  AdmissionController ctl2(fast);
-  for (int round = 0; round < 4; ++round) {
-    const TaskSet ts = draw_small_set(rng, 0.6);
-    for (const Task& t : ts) (void)ctl2.try_admit(t);
-  }
-  const std::size_t n_before = ctl2.size();
-  const std::vector<Task> overload{tk(5, 6, 1000), tk(5, 6, 1000),
-                                   tk(5, 6, 1000)};
-  const GroupDecision d = ctl2.admit_group(overload);
-  ASSERT_FALSE(d.admitted);
-  EXPECT_EQ(ctl2.size(), n_before);
-  EXPECT_TRUE(ctl2.verify_consistency());
-}
-
-TEST(GroupAdmit, LoggedCheckUndoRestoresRefinementLevels) {
-  // Hunt across seeds for a saturated store whose scan actually
-  // refines, then assert the logged undo restores every level exactly.
-  bool exercised = false;
-  for (std::uint64_t seed = 1; seed <= 40 && !exercised; ++seed) {
-    IncrementalDemand d(0.25);
-    Rng rng(seed);
-    std::vector<TaskId> ids;
-    const TaskSet ts = draw_small_set(rng, 0.99);  // U <= 1: scans run
-    for (const Task& t : ts) ids.push_back(d.add(t));
-    std::vector<Time> before;
-    before.reserve(ids.size());
-    for (const TaskId id : ids) before.push_back(d.level_of(id));
-    IncrementalDemand::RefineLog log;
-    (void)d.check(1 << 20, &log);
-    if (log.empty()) continue;
-    exercised = true;
-    d.undo_refinements(log);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(d.level_of(ids[i]), before[i]) << "seed " << seed;
-    }
-    ASSERT_TRUE(d.matches_rebuild()) << "seed " << seed;
-  }
-  EXPECT_TRUE(exercised) << "no seed triggered refinement";
 }
 
 /// The per-task all-or-nothing loop (admit each; roll back on the first
@@ -420,8 +369,7 @@ TEST(GroupAdmit, GroupCertificateCoverIsSound) {
     ++covered_groups;
     std::vector<TaskId> ids;
     d.add_group(g, ids);
-    EXPECT_TRUE(run_test(d.resident(), TestKind::ProcessorDemand)
-                    .feasible())
+    EXPECT_TRUE(processor_demand_test(d.resident()).feasible())
         << d.resident().to_string();
   }
   EXPECT_GT(covered_groups, 3);  // the fast path actually fires

@@ -50,9 +50,8 @@ TEST(Batch, AcceptedCountsAndEffortStats) {
 }
 
 TEST(Batch, CustomTestSelection) {
-  BatchConfig cfg;
-  cfg.tests = {TestKind::LiuLayland, TestKind::Qpa};
-  const BatchReport r = run_batch(demo_entries(), cfg);
+  const BatchReport r = run_batch(
+      demo_entries(), Query::batch({TestKind::LiuLayland, TestKind::Qpa}));
   ASSERT_EQ(r.rows[0].cells.size(), 2u);
   EXPECT_EQ(r.tests[1], TestKind::Qpa);
   EXPECT_EQ(r.rows[2].cells[0].verdict, Verdict::Infeasible);  // U > 1

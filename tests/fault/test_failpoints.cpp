@@ -142,7 +142,9 @@ TEST_F(FailPointTest, ListIsNameOrderedAndStable) {
   bool saw_a = false;
   bool saw_b = false;
   for (const FailPoint* fp : all) {
-    if (prev != nullptr) EXPECT_LT(prev->name(), fp->name());
+    if (prev != nullptr) {
+      EXPECT_LT(prev->name(), fp->name());
+    }
     saw_a |= fp->name() == "test.list.a";
     saw_b |= fp->name() == "test.list.b";
     prev = fp;

@@ -18,9 +18,9 @@
 #include "analysis/qpa.hpp"
 #include "analysis/utilization.hpp"
 #include "core/all_approx.hpp"
-#include "core/analyzer.hpp"
 #include "core/dynamic_test.hpp"
 #include "core/superpos.hpp"
+#include "query/query.hpp"
 #include "rtc/rtc_feas.hpp"
 #include "sim/oracle.hpp"
 
@@ -83,7 +83,8 @@ TEST_P(CrossValidation, SufficientTestsNeverLie) {
     for (const TestKind k :
          {TestKind::LiuLayland, TestKind::Devi, TestKind::SuperPos,
           TestKind::Chakraborty}) {
-      const Verdict v = run_test(ts, k).verdict;
+      const Verdict v =
+          Query::single(k).with_certificates(false).run(ts).verdict;
       if (v == Verdict::Feasible) {
         EXPECT_EQ(truth, Verdict::Feasible)
             << to_string(k) << " accepted an infeasible set\n"

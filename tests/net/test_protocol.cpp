@@ -306,22 +306,39 @@ TEST(Codec, UnknownOpDecodesHeaderOnly) {
 }
 
 TEST(Codec, RandomRequestRoundTripFuzz) {
-  // Property fuzz: arbitrary-but-valid requests survive
-  // encode -> frame -> parse -> decode unchanged.
+  // Property fuzz: arbitrary-but-valid requests of every wire op survive
+  // encode -> frame -> parse -> decode unchanged. Header-only ops carry
+  // their randomness in the header; the switch stays exhaustive so a
+  // new op cannot be added without a payload here.
   Rng rng(2005);
+  const auto random_bytes = [&](int max_len) {
+    std::vector<std::uint8_t> b(
+        static_cast<std::size_t>(rng.uniform_int(0, max_len)));
+    for (std::uint8_t& x : b) {
+      x = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    return b;
+  };
+  const auto random_tenant = [&] {
+    return "f" + std::to_string(rng.uniform_int(0, 1 << 30));
+  };
   const std::uint64_t iters = 200 * testing::fuzz_multiplier();
   for (std::uint64_t i = 0; i < iters; ++i) {
     NetRequest req;
-    const auto op = static_cast<NetOp>(1 + rng.uniform_int(0, 6));
+    const auto op = static_cast<NetOp>(
+        1 + rng.uniform_int(0, static_cast<int>(kNetOpCount) - 2));
     req.hdr.op = static_cast<std::uint8_t>(op);
     req.hdr.flags = static_cast<std::uint8_t>(rng.uniform_int(0, 7));
     req.hdr.request_id = rng.engine()();
     switch (op) {
       case NetOp::Hello:
-        req.tenant = "f" + std::to_string(rng.uniform_int(0, 1 << 30));
+        req.tenant = random_tenant();
         req.durability = static_cast<std::uint8_t>(rng.uniform_int(0, 2));
         req.fsync_interval = static_cast<std::uint64_t>(
             rng.uniform_int(1, 1 << 20));
+        if (rng.uniform_int(0, 1) == 1) {
+          req.client = "c" + std::to_string(rng.uniform_int(0, 1 << 20));
+        }
         req.platform_m =
             static_cast<std::uint32_t>(rng.uniform_int(1, 64));
         break;
@@ -345,9 +362,32 @@ TEST(Codec, RandomRequestRoundTripFuzz) {
           req.ids.push_back(rng.engine()());
         }
         break;
+      case NetOp::ReplHello:
+        req.tenant = random_tenant();
+        req.durability = static_cast<std::uint8_t>(rng.uniform_int(0, 2));
+        req.fsync_interval = static_cast<std::uint64_t>(
+            rng.uniform_int(1, 1 << 20));
+        break;
+      case NetOp::ReplAppend:
+        req.tenant = random_tenant();
+        req.repl_lsn = rng.engine()();
+        for (int k = rng.uniform_int(0, 6); k > 0; --k) {
+          req.repl_records.push_back(random_bytes(48));
+        }
+        req.digest_lsn = rng.engine()();
+        req.digest = static_cast<std::uint32_t>(rng.engine()());
+        break;
+      case NetOp::ReplSnapshot:
+        req.tenant = random_tenant();
+        req.repl_lsn = rng.engine()();
+        req.repl_snapshot = random_bytes(256);
+        req.repl_dedup = random_bytes(64);
+        break;
       case NetOp::Stats:
       case NetOp::Ping:
-        break;
+      case NetOp::ReplAck:
+      case NetOp::Promote:
+        break;  // header-only
     }
 
     std::vector<std::uint8_t> wire;
@@ -356,16 +396,26 @@ TEST(Codec, RandomRequestRoundTripFuzz) {
     ASSERT_EQ(try_parse_frame(wire, view), FrameStatus::Ok);
     const NetRequest out = decode_request(view.payload);
     EXPECT_EQ(out.hdr.op, req.hdr.op);
+    EXPECT_EQ(out.hdr.flags, req.hdr.flags);
     EXPECT_EQ(out.hdr.request_id, req.hdr.request_id);
     EXPECT_EQ(out.tenant, req.tenant);
+    EXPECT_EQ(out.durability, req.durability);
+    EXPECT_EQ(out.fsync_interval, req.fsync_interval);
+    EXPECT_EQ(out.client, req.client);
     EXPECT_EQ(out.platform_m, req.platform_m);
+    EXPECT_TRUE(out.task == req.task);
+    EXPECT_EQ(out.id, req.id);
     EXPECT_EQ(out.ids, req.ids);
     ASSERT_EQ(out.group.size(), req.group.size());
     for (std::size_t g = 0; g < req.group.size(); ++g) {
-      EXPECT_EQ(out.group[g].wcet, req.group[g].wcet);
-      EXPECT_EQ(out.group[g].deadline, req.group[g].deadline);
-      EXPECT_EQ(out.group[g].period, req.group[g].period);
+      EXPECT_TRUE(out.group[g] == req.group[g]) << g;
     }
+    EXPECT_EQ(out.repl_lsn, req.repl_lsn);
+    EXPECT_EQ(out.repl_records, req.repl_records);
+    EXPECT_EQ(out.digest_lsn, req.digest_lsn);
+    EXPECT_EQ(out.digest, req.digest);
+    EXPECT_EQ(out.repl_snapshot, req.repl_snapshot);
+    EXPECT_EQ(out.repl_dedup, req.repl_dedup);
   }
 }
 

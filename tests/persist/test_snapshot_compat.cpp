@@ -1,0 +1,188 @@
+/// \file test_snapshot_compat.cpp
+/// Snapshot read-compat. Format v3 dropped the AdmissionOptions fields
+/// that no caller set (the legacy analyzer knobs, max_tasks,
+/// rollback_refinements). The v2 images in tests/data/ were written by
+/// the format-v2 library from the compat traces of pin_traces.hpp. Each
+/// must load into this build with the residents, stats and store of a
+/// replay of the same trace prefix, and then decide the rest of the
+/// trace exactly as that replay does. A v2 image whose dropped field
+/// holds anything but its old default is refused with a typed
+/// PersistError.
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "admission/snapshot.hpp"
+#include "persist/format.hpp"
+#include "pin_traces.hpp"
+
+namespace edfkit {
+namespace {
+
+using testing::CompatTrace;
+using testing::compat_traces;
+using testing::pin_events;
+
+std::string data_path(const std::string& file) {
+  return std::string(EDFKIT_TEST_DATA_DIR) + "/" + file;
+}
+
+std::string temp_path(const char* name) {
+  return ::testing::TempDir() + "edfkit_compat_" + name + "_" +
+         std::to_string(::getpid());
+}
+
+void expect_same_rows(const TaskSet& a, const TaskSet& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a[i] == b[i]) << what << " row " << i;
+  }
+}
+
+void expect_same_options(const AdmissionOptions& a, const AdmissionOptions& b,
+                         const char* what) {
+  EXPECT_EQ(a.epsilon, b.epsilon) << what;
+  EXPECT_EQ(a.exact_fallback, b.exact_fallback) << what;
+  EXPECT_EQ(a.utilization_cap, b.utilization_cap) << what;
+  EXPECT_EQ(a.skip_exact, b.skip_exact) << what;
+  EXPECT_EQ(a.use_slack_index, b.use_slack_index) << what;
+  EXPECT_EQ(a.eager_compaction, b.eager_compaction) << what;
+  EXPECT_EQ(a.return_certificate, b.return_certificate) << what;
+  EXPECT_EQ(a.platform.m, b.platform.m) << what;
+}
+
+TEST(SnapshotCompat, V2ControllerImagesLoadAndDecideLikeAReplay) {
+  for (const CompatTrace& c : compat_traces()) {
+    if (c.shards > 0) continue;
+    const std::vector<TraceEvent> events = pin_events(c.trace);
+    AdmissionController loaded;
+    (void)load_snapshot(loaded, data_path(c.file));
+    AdmissionController replayed(c.trace.options);
+    testing::PinDriver rd{replayed, {}, {}};
+    for (std::size_t i = 0; i < c.split; ++i) rd.step(events[i]);
+
+    expect_same_options(loaded.options(), replayed.options(), c.file);
+    EXPECT_EQ(loaded.stats().to_json(), replayed.stats().to_json()) << c.file;
+    expect_same_rows(loaded.snapshot(), replayed.snapshot(), c.file);
+    EXPECT_EQ(store_digest(loaded), store_digest(replayed)) << c.file;
+    EXPECT_TRUE(loaded.verify_consistency()) << c.file;
+
+    // The rest of the trace: the loaded store decides like the replay.
+    testing::PinDriver ld{loaded, {}, rd.live};
+    rd.digest = {};
+    for (std::size_t i = c.split; i < events.size(); ++i) {
+      ld.step(events[i]);
+      rd.step(events[i]);
+    }
+    EXPECT_EQ(ld.digest.h, rd.digest.h) << c.file;
+    EXPECT_EQ(loaded.stats().to_json(), replayed.stats().to_json()) << c.file;
+    EXPECT_EQ(store_digest(loaded), store_digest(replayed)) << c.file;
+  }
+}
+
+TEST(SnapshotCompat, V2EngineImageLoadsAndPlacesLikeAReplay) {
+  for (const CompatTrace& c : compat_traces()) {
+    if (c.shards == 0) continue;
+    const std::vector<TraceEvent> events = pin_events(c.trace);
+    EngineOptions stale;  // every option is overwritten by the load
+    stale.shards = 1;
+    AdmissionEngine loaded(stale);
+    (void)load_snapshot(loaded, data_path(c.file));
+    AdmissionEngine replayed(testing::compat_engine_options(c));
+    testing::EnginePinDriver rd{replayed, {}, {}};
+    for (std::size_t i = 0; i < c.split; ++i) rd.step(events[i]);
+
+    ASSERT_EQ(loaded.shards(), replayed.shards()) << c.file;
+    const EngineStats a = loaded.stats_locked();
+    const EngineStats b = replayed.stats_locked();
+    EXPECT_EQ(a.resident, b.resident) << c.file;
+    EXPECT_EQ(a.admission.to_json(), b.admission.to_json()) << c.file;
+    EXPECT_EQ(a.shard_resident, b.shard_resident) << c.file;
+    for (std::size_t i = 0; i < loaded.shards(); ++i) {
+      expect_same_rows(loaded.shard_snapshot(i), replayed.shard_snapshot(i),
+                       c.file);
+    }
+
+    testing::EnginePinDriver ld{loaded, {}, rd.live};
+    rd.digest = {};
+    for (std::size_t i = c.split; i < events.size(); ++i) {
+      ld.step(events[i]);
+      rd.step(events[i]);
+    }
+    EXPECT_EQ(ld.digest.h, rd.digest.h) << c.file;
+    EXPECT_EQ(loaded.stats_locked().admission.to_json(),
+              replayed.stats_locked().admission.to_json())
+        << c.file;
+  }
+}
+
+persist::PersistErrc load_error(const std::string& path) {
+  AdmissionController out;
+  try {
+    (void)load_snapshot(out, path);
+  } catch (const persist::PersistError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << path << " loaded";
+  return persist::PersistErrc::IoError;
+}
+
+/// Overwrite `width` bytes at `offset` inside the controller section of
+/// a snapshot image and re-seal the section CRC, so the decode (not the
+/// framing) sees the change.
+std::vector<std::uint8_t> patch_controller(std::vector<std::uint8_t> bytes,
+                                           std::size_t offset,
+                                           std::uint64_t value,
+                                           std::size_t width) {
+  std::size_t off = 16;  // magic + version + section count
+  for (;;) {
+    std::uint32_t id = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&id, bytes.data() + off, 4);
+    std::memcpy(&len, bytes.data() + off + 4, 8);
+    const std::size_t payload = off + 16;
+    if (id == 2) {  // the controller section
+      std::memcpy(bytes.data() + payload + offset, &value, width);
+      const std::uint32_t crc = crc32(bytes.data() + payload, len);
+      std::memcpy(bytes.data() + off + 12, &crc, 4);
+      return bytes;
+    }
+    off = payload + len;
+  }
+}
+
+TEST(SnapshotCompat, V2ImageWithADroppedOptionSetIsRefused) {
+  // Written with max_tasks = 16.
+  EXPECT_EQ(load_error(data_path("snapshot_v2_max_tasks.bin")),
+            persist::PersistErrc::BadValue);
+
+  // The v2 controller payload: epsilon f64 @0, exact_fallback u32 @8,
+  // then the legacy analyzer knobs from @12 (superpos_level i64 first)
+  // and, after utilization_cap and max_tasks, the option flags from @96
+  // (rollback_refinements @99).
+  const std::vector<std::uint8_t> v2 =
+      persist::read_file(data_path("snapshot_v2_controller.bin"));
+  const std::string path = temp_path("patched");
+  persist::write_file_atomic(path, patch_controller(v2, 12, 5, 8));
+  EXPECT_EQ(load_error(path), persist::PersistErrc::BadValue);
+  persist::write_file_atomic(path, patch_controller(v2, 99, 1, 1));
+  EXPECT_EQ(load_error(path), persist::PersistErrc::BadValue);
+  // The unpatched image (all dropped fields at their defaults) loads.
+  persist::write_file_atomic(path, patch_controller(v2, 99, 0, 1));
+  AdmissionController ok;
+  EXPECT_NO_THROW((void)load_snapshot(ok, path));
+
+  // Versions outside [2, current] stay typed BadVersion errors.
+  for (const std::uint32_t version : {1u, 4u}) {
+    std::vector<std::uint8_t> bytes = v2;
+    std::memcpy(bytes.data() + 8, &version, 4);
+    persist::write_file_atomic(path, bytes);
+    EXPECT_EQ(load_error(path), persist::PersistErrc::BadVersion) << version;
+  }
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace edfkit

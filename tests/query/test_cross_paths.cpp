@@ -1,6 +1,6 @@
-/// Cross-validation of the unified query API against the legacy
-/// entry points it subsumes: run_test (per kind), run_batch, and the
-/// admission ladder preview (batch_analyze --ladder's column set).
+/// Cross-validation of the query API's policies against each other:
+/// the ladder policy against the admission ladder preview (batch_analyze
+/// --ladder's column set), and the batch report rendering.
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
@@ -11,48 +11,15 @@
 namespace edfkit {
 namespace {
 
-using testing::paper_random_sets;
 using testing::small_random_sets;
-
-TEST(CrossPaths, QueryAgreesWithLegacyRunTestAcrossAllKinds) {
-  const AnalyzerOptions legacy_opts;  // defaults on both paths
-  for (const double u : {0.6, 0.9, 1.02}) {
-    for (const TaskSet& ts : small_random_sets(10, u, /*seed=*/2024)) {
-      if (ts.empty()) continue;
-      // The legacy path is uniprocessor-only; global backends have no
-      // run_test counterpart to agree with.
-      for (const TestKind k :
-           BackendRegistry::instance().kinds_for(Platform{})) {
-        const FeasibilityResult legacy = run_test(ts, k, legacy_opts);
-        const Outcome fresh = Query::single(k, params_from_legacy(k, legacy_opts))
-                                  .with_certificates(false)
-                                  .run(Workload::periodic(ts));
-        EXPECT_EQ(legacy.verdict, fresh.verdict)
-            << to_string(k) << " U=" << u << "\n" << ts.to_string();
-        EXPECT_EQ(legacy.effort(), fresh.analysis.effort()) << to_string(k);
-      }
-    }
-  }
-}
-
-TEST(CrossPaths, QueryAgreesOnPaperSizedSets) {
-  for (const TaskSet& ts : paper_random_sets(4, 0.95, /*seed=*/31)) {
-    for (const TestKind k :
-         {TestKind::Dynamic, TestKind::AllApprox, TestKind::Qpa}) {
-      EXPECT_EQ(run_test(ts, k).verdict,
-                Query::single(k).with_certificates(false)
-                    .run(Workload::periodic(ts)).verdict)
-          << to_string(k);
-    }
-  }
-}
 
 TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   // batch_analyze --ladder previews the admission controller by running
   // the ladder's kinds as batch columns; the ladder policy must reach
   // the same decision as reading those columns in escalation order.
   const AdmissionOptions admission;  // epsilon 0.25, qpa fallback
-  const std::vector<TestKind> rungs = admission_ladder_tests(admission);
+  const std::vector<TestKind> rungs =
+      default_ladder_kinds(admission.exact_fallback, !admission.skip_exact);
   ASSERT_EQ(rungs.size(), 3u);
 
   std::vector<BatchEntry> entries;
@@ -63,10 +30,9 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
     }
   }
 
-  BatchConfig cfg;
-  cfg.tests = rungs;
-  cfg.options.epsilon = admission.epsilon;
-  const BatchReport preview = run_batch(entries, cfg);
+  // Query::batch runs every column with default params: epsilon 0.25,
+  // the controller's default.
+  const BatchReport preview = run_batch(entries, Query::batch(rungs));
   EXPECT_TRUE(preview.exact_disagreements.empty());
 
   for (std::size_t row = 0; row < entries.size(); ++row) {
@@ -87,38 +53,10 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   }
 }
 
-TEST(CrossPaths, BatchShimMatchesQueryBatch) {
-  std::vector<BatchEntry> entries;
-  int idx = 0;
-  for (const TaskSet& ts : small_random_sets(6, 0.9, /*seed=*/7)) {
-    if (!ts.empty()) entries.push_back({"e" + std::to_string(idx++), ts});
-  }
-  const BatchConfig cfg;  // legacy default column set
-  const BatchReport legacy = run_batch(entries, cfg);
-
-  Query q;
-  q.with_policy(ExecPolicy::Batch);
-  for (const TestKind k : cfg.tests) {
-    q.add(k, params_from_legacy(k, cfg.options));
-  }
-  const BatchReport fresh = run_batch(entries, q);
-
-  ASSERT_EQ(legacy.rows.size(), fresh.rows.size());
-  ASSERT_EQ(legacy.tests, fresh.tests);
-  for (std::size_t i = 0; i < legacy.rows.size(); ++i) {
-    for (std::size_t k = 0; k < legacy.tests.size(); ++k) {
-      EXPECT_EQ(legacy.rows[i].cells[k].verdict,
-                fresh.rows[i].cells[k].verdict);
-      EXPECT_EQ(legacy.rows[i].cells[k].effort,
-                fresh.rows[i].cells[k].effort);
-    }
-  }
-}
-
 TEST(CrossPaths, JsonReportIsEmittedAndNamesEveryTest) {
   std::vector<BatchEntry> entries;
   entries.push_back({"demo \"quoted\"", small_random_sets(1, 0.8).front()});
-  const BatchReport r = run_batch(entries, BatchConfig{});
+  const BatchReport r = run_batch(entries);
   const std::string json = r.to_json();
   for (const TestKind k : r.tests) {
     EXPECT_NE(json.find(to_string(k)), std::string::npos) << to_string(k);

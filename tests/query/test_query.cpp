@@ -241,6 +241,48 @@ TEST(QueryPolicy, CertificatesCanBeDisabled) {
   EXPECT_FALSE(out.certificate.present());
 }
 
+TEST(QueryPolicy, SingleRunsEveryUniprocessorKind) {
+  // This set is exactly feasible; exact tests must say so, sufficient
+  // tests may either accept or give up, but never claim infeasibility.
+  for (const TestKind k : BackendRegistry::instance().kinds_for(Platform{})) {
+    const FeasibilityResult r =
+        Query::single(k).with_certificates(false).run(demo_set()).analysis;
+    EXPECT_NE(r.verdict, Verdict::Infeasible) << to_string(k);
+    if (is_exact(k)) {
+      EXPECT_EQ(r.verdict, Verdict::Feasible) << to_string(k);
+    }
+  }
+}
+
+TEST(QueryPolicy, TypedParamsReachTheTests) {
+  const TaskSet ts = set_of({tk(2, 8, 20), tk(3, 25, 30), tk(4, 40, 50),
+                             tk(6, 60, 70), tk(9, 90, 100), tk(14, 140, 150),
+                             tk(20, 190, 200), tk(30, 290, 300),
+                             tk(46, 390, 400), tk(72, 580, 600)});
+  const auto verdict = [&](TestKind k, BackendParams p) {
+    return Query::single(k, std::move(p))
+        .with_certificates(false)
+        .run(ts)
+        .verdict;
+  };
+  DynamicTestOptions strict;
+  strict.max_level = 1;  // degrade dynamic to SuperPos(1)
+  EXPECT_EQ(verdict(TestKind::Dynamic, strict), Verdict::Unknown);
+  EXPECT_EQ(verdict(TestKind::Dynamic, DynamicTestOptions{}),
+            Verdict::Feasible);
+  EXPECT_EQ(verdict(TestKind::SuperPos, SuperPosParams{1}), Verdict::Unknown);
+  EXPECT_EQ(verdict(TestKind::SuperPos, SuperPosParams{32}),
+            Verdict::Feasible);
+}
+
+TEST(QueryPolicy, ComparisonTableMentionsEveryTest) {
+  const std::string table =
+      comparison_table(Workload::periodic(set_of({tk(1, 4, 8)})));
+  for (const TestKind k : BackendRegistry::instance().kinds_for(Platform{})) {
+    EXPECT_NE(table.find(to_string(k)), std::string::npos) << to_string(k);
+  }
+}
+
 TEST(QueryPolicy, OutcomeToStringMentionsVerdictAndBackend) {
   const Outcome out = Query::single(TestKind::Qpa).run(demo_set());
   const std::string s = out.to_string();

@@ -33,6 +33,14 @@ TEST(Registry, NamesAreUniqueAndNonEmpty) {
   EXPECT_EQ(names.size(), BackendRegistry::instance().all().size());
 }
 
+TEST(Registry, KindNamesAreUniqueAndStable) {
+  std::set<std::string> names;
+  for (const TestKind k : all_test_kinds()) names.insert(to_string(k));
+  EXPECT_EQ(names.size(), all_test_kinds().size());
+  EXPECT_EQ(std::string(to_string(TestKind::Dynamic)), "dynamic");
+  EXPECT_EQ(std::string(to_string(TestKind::AllApprox)), "all-approx");
+}
+
 TEST(Registry, ExactnessFlagAgreesWithIsExact) {
   for (const BackendInfo& b : BackendRegistry::instance().all()) {
     EXPECT_EQ(b.exact, is_exact(b.kind)) << b.name;
