@@ -1,8 +1,8 @@
 /// \file admission_server.cpp
-/// The admission engine as a real network service: a net::Server epoll
-/// event loop serving the binary wire protocol (net/protocol.hpp) to
-/// remote clients, multi-tenant, with per-tenant durability and
-/// load-shedding backpressure.
+/// Admission as a network service: a net::Server epoll event loop
+/// serving the binary wire protocol (net/protocol.hpp) to remote
+/// clients, one AdmissionController per tenant, with per-tenant
+/// durability and load-shedding backpressure.
 ///
 ///   ./admission_server [--port 7433] [--bind 127.0.0.1]
 ///                      [--data-dir DIR] [--checkpoint-every 4096]

@@ -5,9 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "admission/snapshot.hpp"
 #include "obs/obs.hpp"
-#include "persist/journal.hpp"
 
 namespace edfkit {
 
@@ -161,12 +159,6 @@ PlacementDecision AdmissionEngine::admit(const Task& t) {
       d = s.controller.try_admit(t);
       s.load.store(s.controller.utilization(), std::memory_order_relaxed);
       s.publish();
-      // Journal committed placements from inside the critical section
-      // so the per-shard record order equals the apply order.
-      persist::Journal* j = journal_.load(std::memory_order_acquire);
-      if (j != nullptr && d.admitted) {
-        j->append(journal_codec::engine_admit(i, d.id, t));
-      }
     }
     if (m != nullptr) {
       m->shard_decision_ns[i].record(obs::now_ns() - s0);
@@ -204,13 +196,6 @@ GroupPlacement AdmissionEngine::admit_group(std::span<const Task> group) {
       d = s.controller.admit_group(group);
       s.load.store(s.controller.utilization(), std::memory_order_relaxed);
       s.publish();
-      persist::Journal* j = journal_.load(std::memory_order_acquire);
-      if (j != nullptr && d.admitted) {
-        std::vector<GlobalTaskId> assigned;
-        assigned.reserve(d.ids.size());
-        for (const TaskId id : d.ids) assigned.push_back({i, id});
-        j->append(journal_codec::engine_admit_group(i, assigned, group));
-      }
     }
     if (m != nullptr) {
       m->shard_decision_ns[i].record(obs::now_ns() - s0);
@@ -243,8 +228,6 @@ bool AdmissionEngine::remove(GlobalTaskId id) {
   if (removed) {
     s.load.store(s.controller.utilization(), std::memory_order_relaxed);
     s.publish();
-    persist::Journal* j = journal_.load(std::memory_order_acquire);
-    if (j != nullptr) j->append(journal_codec::engine_remove(id));
   }
   return removed;
 }
@@ -386,6 +369,25 @@ FeasibilityResult AdmissionEngine::analyze_shard(std::size_t i,
   const Shard& s = *shards_.at(i);
   const std::lock_guard<std::mutex> lock(s.mu);
   return s.controller.analyze_resident(kind);
+}
+
+void AdmissionEngine::attach_journals(
+    std::span<persist::Journal* const> journals) {
+  if (journals.size() != shards_.size()) {
+    throw std::invalid_argument(
+        "AdmissionEngine::attach_journals: one journal per shard required");
+  }
+  for (auto it = journals.begin(); it != journals.end(); ++it) {
+    if (*it != nullptr && std::find(journals.begin(), it, *it) != it) {
+      throw std::invalid_argument(
+          "AdmissionEngine::attach_journals: shards cannot share a journal");
+    }
+  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = *shards_[i];
+    const std::lock_guard<std::mutex> lock(s.mu);
+    s.controller.attach_journal(journals[i]);
+  }
 }
 
 void AdmissionEngine::attach_obs(obs::Obs* obs) {

@@ -195,20 +195,16 @@ class AdmissionEngine {
   [[nodiscard]] FeasibilityResult analyze_shard(
       std::size_t i, TestKind kind = TestKind::ProcessorDemand) const;
 
-  /// Engine-level write-ahead journaling (admission/snapshot.hpp):
-  /// while attached, every *committed* state change — a successful
-  /// admit/admit_group (with the shard it landed on and the ids it was
-  /// assigned) or a successful remove — appends one shard-qualified
-  /// record from inside the shard's critical section, so the per-shard
-  /// record order equals the per-shard apply order. Rejected placements
-  /// are not journaled: engine recovery restores the resident sets and
-  /// the admission invariant, not the rejected-probe side effects (see
-  /// README "Durability" for the contrast with controller-level
-  /// journaling, which is bit-identical). The journal must outlive the
-  /// attachment; Journal::append is thread-safe.
-  void attach_journal(persist::Journal* journal) noexcept {
-    journal_.store(journal, std::memory_order_release);
-  }
+  /// Per-shard write-ahead journaling (admission/snapshot.hpp): attaches
+  /// `journals[i]` to the controller of shard i, which then appends a
+  /// record ahead of every operation offered to it — placement probes
+  /// the shard rejects included — while the engine holds the shard's
+  /// mutex. Each journal's record order is therefore its shard's apply
+  /// order, and recover() replays it bit-identically. A null entry
+  /// detaches that shard. Each journal must outlive its attachment.
+  /// \throws std::invalid_argument unless journals.size() == shards()
+  /// and the non-null entries are distinct.
+  void attach_journals(std::span<persist::Journal* const> journals);
 
   /// Observability (src/obs/): attaches every shard controller to the
   /// Obs's shared admission instruments + its shard's flight-recorder
@@ -267,7 +263,6 @@ class AdmissionEngine {
 
   EngineOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<persist::Journal*> journal_{nullptr};
   /// Observability wiring (not serialized). metrics_ is read without
   /// the shard mutexes; swap only while admits are quiesced.
   obs::EngineInstruments* metrics_ = nullptr;

@@ -144,8 +144,8 @@ ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
                          obs::Obs* obs = nullptr);
 
 /// Drive a sharded engine through the trace, in order (synchronous
-/// admits; concurrency is exercised by submitting multiple independent
-/// traces from multiple threads — see examples/admission_server.cpp).
+/// admits; concurrency is exercised by driving the engine from several
+/// threads at once — see tests/admission/test_engine.cpp).
 ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
                          AdmissionEngine& engine,
                          obs::Obs* obs = nullptr);

@@ -1,7 +1,6 @@
 #include "admission/snapshot.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +16,9 @@ constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecController = 2;
 constexpr std::uint32_t kSecEngine = 3;
 constexpr std::uint32_t kSecShard = 4;
+/// Engine images: the journal LSN of every shard, in shard order.
+/// Images written before per-shard journals lack it.
+constexpr std::uint32_t kSecShardLsns = 5;
 
 void encode_task(ByteWriter& w, const Task& t) {
   w.i64(t.wcet);
@@ -121,8 +123,6 @@ struct Record {
   std::vector<Task> group;
   TaskId id = kInvalidTaskId;
   std::vector<TaskId> ids;
-  std::uint32_t shard = 0;
-  std::vector<TaskId> assigned;
   // ClientMark
   std::string client;
   std::uint64_t request_id = 0;
@@ -155,26 +155,6 @@ Record decode_record(std::span<const std::uint8_t> payload) {
       for (std::uint32_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
       break;
     }
-    case JournalOp::EngineAdmit:
-      rec.shard = r.u32();
-      rec.id = r.u64();
-      rec.task = decode_task(r);
-      break;
-    case JournalOp::EngineAdmitGroup: {
-      rec.shard = r.u32();
-      const std::uint32_t n = r.u32();
-      rec.assigned.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) rec.assigned.push_back(r.u64());
-      rec.group.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        rec.group.push_back(decode_task(r));
-      }
-      break;
-    }
-    case JournalOp::EngineRemove:
-      rec.shard = r.u32();
-      rec.id = r.u64();
-      break;
     case JournalOp::ClientMark:
       rec.client = r.str();
       rec.request_id = r.u64();
@@ -190,6 +170,34 @@ Record decode_record(std::span<const std::uint8_t> payload) {
                        "journal record has trailing bytes");
   }
   return rec;
+}
+
+/// The replay body of both recover() overloads: apply the records of
+/// the journal at `journal_path` (if it exists) from LSN `from_lsn` on
+/// through the normal controller entry points, counting into `result`.
+void replay_journal(AdmissionController& out, const std::string& journal_path,
+                    std::uint64_t from_lsn, RecoveryResult& result,
+                    ReplayObserver* observer) {
+  if (journal_path.empty() || !persist::file_exists(journal_path)) return;
+  const persist::JournalScan scan = persist::scan_journal(journal_path);
+  result.torn_tail = result.torn_tail || scan.torn_tail;
+  result.journal_records += scan.records.size();
+  if (from_lsn > scan.base_lsn + scan.records.size()) {
+    throw PersistError(PersistErrc::BadValue,
+                       "snapshot is ahead of the journal");
+  }
+  if (from_lsn < scan.base_lsn) {
+    // rotate() GC'd records this recovery still needs — the cut
+    // outran the snapshot. Replaying only the suffix would silently
+    // skip committed operations.
+    throw PersistError(PersistErrc::BadValue,
+                       "journal rotated past the snapshot LSN");
+  }
+  for (std::uint64_t i = from_lsn - scan.base_lsn; i < scan.records.size();
+       ++i) {
+    apply_record(out, scan.records[i], observer);
+    ++result.replayed;
+  }
 }
 
 }  // namespace
@@ -223,36 +231,6 @@ std::vector<std::uint8_t> remove_group(std::span<const TaskId> ids) {
   w.u8(static_cast<std::uint8_t>(JournalOp::RemoveGroup));
   w.u32(static_cast<std::uint32_t>(ids.size()));
   for (const TaskId id : ids) w.u64(id);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_admit(std::uint32_t shard, TaskId assigned,
-                                       const Task& t) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineAdmit));
-  w.u32(shard);
-  w.u64(assigned);
-  encode_task(w, t);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_admit_group(
-    std::uint32_t shard, std::span<const GlobalTaskId> assigned,
-    std::span<const Task> group) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineAdmitGroup));
-  w.u32(shard);
-  w.u32(static_cast<std::uint32_t>(assigned.size()));
-  for (const GlobalTaskId id : assigned) w.u64(id.local);
-  for (const Task& t : group) encode_task(w, t);
-  return std::move(w).take();
-}
-
-std::vector<std::uint8_t> engine_remove(GlobalTaskId id) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::EngineRemove));
-  w.u32(id.shard);
-  w.u64(id.local);
   return std::move(w).take();
 }
 
@@ -525,18 +503,16 @@ struct SnapshotCodec {
     decode_demand(c.demand_, r);
   }
 
-  static void engine_save(const AdmissionEngine& e, const std::string& path,
-                          const persist::Journal* journal) {
-    // Hold every shard across the journal-LSN capture: the snapshot
-    // then matches exactly one journal cut (no shard can commit+append
-    // between the capture and its serialization).
+  static void engine_save(const AdmissionEngine& e, const std::string& path) {
+    // Hold every shard across the capture: a shard appends to its
+    // journal under its own mutex, so the image then matches one cut
+    // of every journal.
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(e.shards_.size());
     for (const auto& shard : e.shards_) locks.emplace_back(shard->mu);
-    const std::uint64_t lsn = journal != nullptr ? journal->lsn() : 0;
 
     persist::SectionWriter sw;
-    encode_meta(sw, SnapshotKind::Engine, lsn);
+    encode_meta(sw, SnapshotKind::Engine, 0);
     {
       ByteWriter& w = sw.begin(kSecEngine);
       w.u64(e.shards_.size());
@@ -550,6 +526,14 @@ struct SnapshotCodec {
       // purely diagnostic (epochs restart with the process).
       w.u64(e.shards_[i]->controller.demand_header().epoch);
       encode_controller(e.shards_[i]->controller, w);
+    }
+    {
+      ByteWriter& w = sw.begin(kSecShardLsns);
+      w.u64(e.shards_.size());
+      for (const auto& shard : e.shards_) {
+        const persist::Journal* j = shard->controller.journal();
+        w.u64(j != nullptr ? j->lsn() : 0);
+      }
     }
     locks.clear();  // serialize happened under lock; IO happens outside
     sw.finish(path);
@@ -565,7 +549,7 @@ struct SnapshotCodec {
       }
     }
     const persist::SectionReader sr(persist::read_file(path));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Engine);
+    SnapshotMeta meta = decode_meta(sr, SnapshotKind::Engine);
     ByteReader er = sr.section(kSecEngine);
     const std::uint64_t shards = er.u64();
     const std::uint8_t placement = er.u8();
@@ -595,68 +579,20 @@ struct SnapshotCodec {
     if (fresh.size() != shards) {
       throw PersistError(PersistErrc::BadValue, "shard count");
     }
+    if (sr.has_section(kSecShardLsns)) {
+      ByteReader lr = sr.section(kSecShardLsns);
+      if (lr.u64() != shards) {
+        throw PersistError(PersistErrc::BadValue, "shard LSN count");
+      }
+      meta.shard_lsns.resize(shards);
+      for (std::uint64_t& lsn : meta.shard_lsns) lsn = lr.u64();
+    }
     e.opts_.shards = shards;
     e.opts_.placement = static_cast<PlacementPolicy>(placement);
     e.opts_.workers = er.u64();
     e.opts_.admission = fresh.front()->controller.options();
     e.shards_ = std::move(fresh);
     return meta;
-  }
-
-  /// Replay one committed engine record onto its recorded shard,
-  /// translating recorded local ids to the ids the recovered shard
-  /// actually assigns.
-  static void engine_apply(
-      AdmissionEngine& e, const Record& rec,
-      std::map<std::pair<std::uint32_t, TaskId>, TaskId>& remap,
-      RecoveryResult& out) {
-    if (rec.shard >= e.shards_.size()) {
-      throw PersistError(PersistErrc::BadValue, "record shard index");
-    }
-    AdmissionEngine::Shard& s = *e.shards_[rec.shard];
-    const std::lock_guard<std::mutex> lock(s.mu);
-    switch (rec.op) {
-      case JournalOp::EngineAdmit: {
-        const AdmissionDecision d = s.controller.try_admit(rec.task);
-        if (d.admitted) {
-          remap[{rec.shard, rec.id}] = d.id;
-        } else {
-          ++out.skipped;
-        }
-        break;
-      }
-      case JournalOp::EngineAdmitGroup: {
-        const GroupDecision d = s.controller.admit_group(rec.group);
-        if (d.admitted && d.ids.size() == rec.assigned.size()) {
-          for (std::size_t i = 0; i < d.ids.size(); ++i) {
-            remap[{rec.shard, rec.assigned[i]}] = d.ids[i];
-          }
-        } else {
-          ++out.skipped;
-        }
-        break;
-      }
-      case JournalOp::EngineRemove: {
-        TaskId local = rec.id;
-        const auto it = remap.find({rec.shard, rec.id});
-        if (it != remap.end()) local = it->second;
-        if (!s.controller.remove(local)) ++out.skipped;
-        break;
-      }
-      default:
-        throw PersistError(PersistErrc::BadValue,
-                           "controller record in engine journal");
-    }
-    s.load.store(s.controller.utilization(), std::memory_order_relaxed);
-    s.publish();
-  }
-
-  static persist::Journal* detach_journal(AdmissionEngine& e) noexcept {
-    return e.journal_.exchange(nullptr, std::memory_order_acq_rel);
-  }
-  static void reattach_journal(AdmissionEngine& e,
-                               persist::Journal* j) noexcept {
-    e.journal_.store(j, std::memory_order_release);
   }
 
   /// Return the store to its freshly-constructed state (configuration
@@ -713,6 +649,68 @@ struct SnapshotCodec {
     }
     e.shards_ = std::move(fresh);
   }
+
+  static std::uint32_t shard_digest(const AdmissionEngine& e,
+                                    std::size_t i) {
+    const AdmissionEngine::Shard& s = *e.shards_.at(i);
+    const std::lock_guard<std::mutex> lock(s.mu);
+    return store_digest(s.controller);
+  }
+
+  static RecoveryResult engine_recover(
+      AdmissionEngine& e, const std::string& snapshot_path,
+      std::span<const std::string> journal_paths) {
+    // Loading or resetting replaces the shards with fresh, detached
+    // ones, so replay does not re-journal; the caller's journals move
+    // to the recovered shards afterwards.
+    std::vector<persist::Journal*> attached;
+    for (const auto& shard : e.shards_) {
+      attached.push_back(shard->controller.journal());
+    }
+    const auto reattach = [&] {
+      const std::size_t n = std::min(attached.size(), e.shards_.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        e.shards_[i]->controller.attach_journal(attached[i]);
+      }
+    };
+    RecoveryResult result;
+    try {
+      std::vector<std::uint64_t> from;
+      if (!snapshot_path.empty() && persist::file_exists(snapshot_path)) {
+        from = load_snapshot(e, snapshot_path).shard_lsns;
+        result.snapshot_loaded = true;
+      } else {
+        reset_engine(e);
+      }
+      // An image written before engines journaled per shard has no
+      // LSNs to resume from, so it recovers only without journals.
+      const bool legacy_image = result.snapshot_loaded && from.empty();
+      if (journal_paths.size() != e.shards_.size()) {
+        throw PersistError(PersistErrc::BadValue,
+                           "one journal path per shard required");
+      }
+      from.resize(e.shards_.size(), 0);
+      for (std::size_t i = 0; i < e.shards_.size(); ++i) {
+        if (legacy_image && !journal_paths[i].empty() &&
+            persist::file_exists(journal_paths[i])) {
+          throw PersistError(PersistErrc::BadValue,
+                             "engine snapshot predates per-shard journal "
+                             "LSNs; it cannot take a journal suffix");
+        }
+        AdmissionEngine::Shard& s = *e.shards_[i];
+        result.snapshot_lsn += from[i];
+        replay_journal(s.controller, journal_paths[i], from[i], result,
+                       nullptr);
+        s.load.store(s.controller.utilization(), std::memory_order_relaxed);
+        s.publish();
+      }
+    } catch (...) {
+      reattach();
+      throw;
+    }
+    reattach();
+    return result;
+  }
 };
 
 void save_snapshot(const AdmissionController& controller,
@@ -723,9 +721,8 @@ void save_snapshot(const AdmissionController& controller,
   sw.finish(path);
 }
 
-void save_snapshot(const AdmissionEngine& engine, const std::string& path,
-                   const persist::Journal* journal) {
-  SnapshotCodec::engine_save(engine, path, journal);
+void save_snapshot(const AdmissionEngine& engine, const std::string& path) {
+  SnapshotCodec::engine_save(engine, path);
 }
 
 SnapshotMeta load_snapshot(AdmissionController& out,
@@ -784,9 +781,6 @@ void apply_record(AdmissionController& out,
         observer->on_mark(rec.client, rec.request_id, rec.mark_flags);
       }
       break;
-    default:
-      throw PersistError(PersistErrc::BadValue,
-                         "engine record in controller journal");
   }
 }
 
@@ -826,6 +820,10 @@ std::uint32_t store_digest(const AdmissionController& controller) {
   return crc32(w.data());
 }
 
+std::uint32_t store_digest(const AdmissionEngine& engine, std::size_t shard) {
+  return SnapshotCodec::shard_digest(engine, shard);
+}
+
 RecoveryResult recover(AdmissionController& out,
                        const std::string& snapshot_path,
                        const std::string& journal_path,
@@ -846,28 +844,7 @@ RecoveryResult recover(AdmissionController& out,
       // record.
       SnapshotCodec::reset_controller(out);
     }
-    if (!journal_path.empty() && persist::file_exists(journal_path)) {
-      const persist::JournalScan scan = persist::scan_journal(journal_path);
-      result.torn_tail = scan.torn_tail;
-      result.journal_records = scan.records.size();
-      if (result.snapshot_lsn >
-          scan.base_lsn + scan.records.size()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "snapshot is ahead of the journal");
-      }
-      if (result.snapshot_lsn < scan.base_lsn) {
-        // rotate() GC'd records this recovery still needs — the cut
-        // outran the snapshot. Replaying only the suffix would
-        // silently skip committed operations.
-        throw PersistError(PersistErrc::BadValue,
-                           "journal rotated past the snapshot LSN");
-      }
-      for (std::uint64_t i = result.snapshot_lsn - scan.base_lsn;
-           i < scan.records.size(); ++i) {
-        apply_record(out, scan.records[i], observer);
-        ++result.replayed;
-      }
-    }
+    replay_journal(out, journal_path, result.snapshot_lsn, result, observer);
   } catch (...) {
     out.attach_journal(attached);
     throw;
@@ -878,96 +855,8 @@ RecoveryResult recover(AdmissionController& out,
 
 RecoveryResult recover(AdmissionEngine& out,
                        const std::string& snapshot_path,
-                       const std::string& journal_path) {
-  RecoveryResult result;
-  persist::Journal* attached = SnapshotCodec::detach_journal(out);
-  try {
-    if (!snapshot_path.empty() && persist::file_exists(snapshot_path)) {
-      const SnapshotMeta meta = load_snapshot(out, snapshot_path);
-      result.snapshot_loaded = true;
-      result.snapshot_lsn = meta.journal_lsn;
-    } else {
-      // Cold start: discard any state the caller's engine holds (see
-      // the controller overload).
-      SnapshotCodec::reset_engine(out);
-    }
-    if (!journal_path.empty() && persist::file_exists(journal_path)) {
-      const persist::JournalScan scan = persist::scan_journal(journal_path);
-      result.torn_tail = scan.torn_tail;
-      result.journal_records = scan.records.size();
-      if (result.snapshot_lsn >
-          scan.base_lsn + scan.records.size()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "snapshot is ahead of the journal");
-      }
-      if (result.snapshot_lsn < scan.base_lsn) {
-        throw PersistError(PersistErrc::BadValue,
-                           "journal rotated past the snapshot LSN");
-      }
-      std::map<std::pair<std::uint32_t, TaskId>, TaskId> remap;
-      for (std::uint64_t i = result.snapshot_lsn - scan.base_lsn;
-           i < scan.records.size(); ++i) {
-        const Record rec = decode_record(scan.records[i]);
-        SnapshotCodec::engine_apply(out, rec, remap, result);
-        ++result.replayed;
-      }
-    }
-  } catch (...) {
-    SnapshotCodec::reattach_journal(out, attached);
-    throw;
-  }
-  SnapshotCodec::reattach_journal(out, attached);
-  return result;
-}
-
-CheckpointDaemon::CheckpointDaemon(const AdmissionEngine& engine,
-                                   std::string path,
-                                   std::chrono::milliseconds interval,
-                                   const persist::Journal* journal)
-    : engine_(engine),
-      path_(std::move(path)),
-      interval_(interval),
-      journal_(journal),
-      thread_([this] { run(); }) {}
-
-CheckpointDaemon::~CheckpointDaemon() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  // One final checkpoint so a clean shutdown never loses tail state
-  // (failure absorbed: a destructor must not throw).
-  try_flush();
-}
-
-void CheckpointDaemon::flush_now() {
-  const std::lock_guard<std::mutex> lock(write_mu_);
-  save_snapshot(engine_, path_, journal_);
-  written_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CheckpointDaemon::try_flush() noexcept {
-  try {
-    flush_now();
-  } catch (...) {
-    // Transient IO failure (disk full, permissions): the previous
-    // snapshot is still intact on disk (writes are atomic) and the
-    // next tick retries — degrading durability must never take the
-    // serving process down.
-    failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void CheckpointDaemon::run() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (cv_.wait_for(lock, interval_, [this] { return stop_; })) return;
-    lock.unlock();
-    try_flush();
-    lock.lock();
-  }
+                       std::span<const std::string> journal_paths) {
+  return SnapshotCodec::engine_recover(out, snapshot_path, journal_paths);
 }
 
 }  // namespace edfkit

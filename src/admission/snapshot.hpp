@@ -30,24 +30,19 @@
 /// replays from the beginning into a freshly constructed controller;
 /// snapshot-only recovery restores the checkpoint and replays nothing.
 ///
-/// Engine-level durability is coarser by design: save_snapshot(engine)
-/// briefly locks every shard, composing one section per shard under the
-/// shard's published epoch header, and engine journaling records only
-/// *committed* placements (shard + assigned ids). Engine recovery
-/// restores the resident sets and the admission invariant, but not the
-/// id/refinement residue of rejected placement probes — those probe
-/// multiple shards in a load-heuristic order that is not deterministic
-/// under concurrency. Use controller-level journaling when bit-exact
-/// reconstruction matters (the crash-recovery CI harness does).
+/// An engine journals per shard: AdmissionEngine::attach_journals gives
+/// each shard's controller its own journal, which records every
+/// operation offered to that shard — placement probes it rejects
+/// included — in the shard's apply order. save_snapshot(engine) briefly
+/// locks every shard and records each shard's own journal LSN, and
+/// engine recovery replays journal i into shard i with the controller
+/// replay above, so it is bit-identical per shard: every GlobalTaskId
+/// handed out before a crash names the same task afterwards.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "admission/engine.hpp"
@@ -61,8 +56,13 @@ enum class SnapshotKind : std::uint8_t { Controller = 1, Engine = 2 };
 struct SnapshotMeta {
   SnapshotKind kind = SnapshotKind::Controller;
   /// Journal LSN the snapshot reflects: records [0, journal_lsn) are
-  /// already folded in; recovery replays from journal_lsn.
+  /// already folded in; recovery replays from journal_lsn. Engine
+  /// images write 0 here and keep one LSN per shard in `shard_lsns`.
   std::uint64_t journal_lsn = 0;
+  /// Engine images: each shard's journal_lsn, in shard order. Empty
+  /// for controller images and for engine images written before
+  /// engines journaled per shard.
+  std::vector<std::uint64_t> shard_lsns;
 };
 
 /// Journal record tags (first payload byte).
@@ -71,9 +71,6 @@ enum class JournalOp : std::uint8_t {
   AdmitGroup = 2,   ///< controller: one offered group
   Remove = 3,       ///< controller: withdraw one id
   RemoveGroup = 4,  ///< controller: withdraw an id group
-  EngineAdmit = 16,       ///< engine: committed single placement
-  EngineAdmitGroup = 17,  ///< engine: committed group placement
-  EngineRemove = 18,      ///< engine: committed removal
   /// Server-side exactly-once bookkeeping: "the next controller record
   /// was requested by (client, request_id)". Appended by the network
   /// server immediately before the operation record it annotates, so a
@@ -94,13 +91,6 @@ namespace journal_codec {
 [[nodiscard]] std::vector<std::uint8_t> remove(TaskId id);
 [[nodiscard]] std::vector<std::uint8_t> remove_group(
     std::span<const TaskId> ids);
-[[nodiscard]] std::vector<std::uint8_t> engine_admit(std::uint32_t shard,
-                                                     TaskId assigned,
-                                                     const Task& t);
-[[nodiscard]] std::vector<std::uint8_t> engine_admit_group(
-    std::uint32_t shard, std::span<const GlobalTaskId> assigned,
-    std::span<const Task> group);
-[[nodiscard]] std::vector<std::uint8_t> engine_remove(GlobalTaskId id);
 [[nodiscard]] std::vector<std::uint8_t> client_mark(
     const std::string& client, std::uint64_t request_id,
     std::uint8_t flags);
@@ -114,12 +104,11 @@ namespace journal_codec {
 void save_snapshot(const AdmissionController& controller,
                    const std::string& path, std::uint64_t journal_lsn = 0);
 
-/// Serialize the engine: engine options plus one section per shard
-/// (each taken under its shard mutex; all shards are held across the
-/// journal-LSN capture so the snapshot matches one journal cut).
-/// Safe concurrently with serving threads.
-void save_snapshot(const AdmissionEngine& engine, const std::string& path,
-                   const persist::Journal* journal = nullptr);
+/// Serialize the engine: engine options, one section per shard, and
+/// the LSN of each shard's attached journal (0 for a detached shard).
+/// Every shard is held across the capture, so the image matches one
+/// cut of every journal. Safe concurrently with serving threads.
+void save_snapshot(const AdmissionEngine& engine, const std::string& path);
 
 /// Restore `out` from a controller snapshot, overwriting its options
 /// and entire store. \throws PersistError on any framing/CRC/value
@@ -128,9 +117,10 @@ SnapshotMeta load_snapshot(AdmissionController& out,
                            const std::string& path);
 
 /// Restore `out` from an engine snapshot (shard count and options come
-/// from the file). \pre the engine is not serving (no worker pool, no
-/// concurrent callers). \throws PersistError; BadValue when workers
-/// are already running.
+/// from the file). The loaded shards start with no journal attached.
+/// \pre the engine is not serving (no worker pool, no concurrent
+/// callers). \throws PersistError; BadValue when workers are already
+/// running.
 SnapshotMeta load_snapshot(AdmissionEngine& out, const std::string& path);
 
 /// Watches a controller recovery replay record by record. The network
@@ -157,10 +147,6 @@ struct RecoveryResult {
   std::uint64_t snapshot_lsn = 0;   ///< journal records folded into it
   std::uint64_t journal_records = 0;  ///< intact records found
   std::uint64_t replayed = 0;       ///< records applied on top
-  /// Engine recovery only: replayed records whose effect could not be
-  /// reproduced (e.g. a committed admit the recovered shard rejects —
-  /// possible only when rejected-probe refinement residue mattered).
-  std::uint64_t skipped = 0;
   bool torn_tail = false;  ///< a partial final record was dropped
 };
 
@@ -182,12 +168,22 @@ RecoveryResult recover(AdmissionController& out,
                        const std::string& journal_path,
                        ReplayObserver* observer = nullptr);
 
-/// Engine recovery: snapshot + committed-op replay with id remapping
-/// (replayed admits may be assigned fresh local ids; later removes are
-/// translated). \pre not serving.
+/// Engine recovery: the controller recovery above, per shard. Loads
+/// the engine snapshot (shard count and options come from the file)
+/// or, without one, empties every shard, then replays
+/// `journal_paths[i]` into shard i from that shard's snapshot LSN.
+/// Snapshot-only, journal-only (cold) and snapshot-plus-suffix
+/// recoveries are all valid. The RecoveryResult LSN and record counts
+/// are summed over shards; torn_tail is set when any journal had one.
+/// Journals attached when recovery starts are re-attached to
+/// the recovered shards afterwards. \pre not serving. \throws
+/// PersistError as the controller overload does; BadValue when
+/// `journal_paths.size()` is not the recovered shard count, or when a
+/// journal file exists beside an engine image that predates per-shard
+/// journal LSNs.
 RecoveryResult recover(AdmissionEngine& out,
                        const std::string& snapshot_path,
-                       const std::string& journal_path);
+                       std::span<const std::string> journal_paths);
 
 /// Apply ONE journal record payload through the normal controller
 /// entry points — the body of recover()'s replay loop, exposed so a
@@ -196,7 +192,7 @@ RecoveryResult recover(AdmissionEngine& out,
 /// The caller is responsible for journal discipline: a follower keeps
 /// its controller's journal detached and appends the shipped bytes to
 /// its local journal itself (byte-identical WAL), then applies here.
-/// \throws PersistError on a malformed or engine-level record.
+/// \throws PersistError on a malformed or unknown record.
 void apply_record(AdmissionController& out,
                   std::span<const std::uint8_t> payload,
                   ReplayObserver* observer = nullptr);
@@ -225,53 +221,10 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
 [[nodiscard]] std::uint32_t store_digest(
     const AdmissionController& controller);
 
-/// Periodic engine checkpointing: a background thread that
-/// save_snapshot()s the engine every `interval` (first write one
-/// interval after start). flush_now() forces a synchronous checkpoint
-/// (the SIGTERM path) and throws on IO failure; the background thread
-/// and the destructor instead *absorb* failures (a full disk must
-/// degrade the durability sidecar, never terminate the serving
-/// process) — `checkpoint_failures()` counts them, the previous
-/// on-disk snapshot stays intact (writes are atomic), and the next
-/// tick retries. The destructor stops the thread and writes one final
-/// snapshot. Writes are serialized internally, so flush_now() never
-/// races the periodic write on the same path.
-class CheckpointDaemon {
- public:
-  CheckpointDaemon(const AdmissionEngine& engine, std::string path,
-                   std::chrono::milliseconds interval,
-                   const persist::Journal* journal = nullptr);
-  ~CheckpointDaemon();
-
-  CheckpointDaemon(const CheckpointDaemon&) = delete;
-  CheckpointDaemon& operator=(const CheckpointDaemon&) = delete;
-
-  /// Synchronous checkpoint. \throws PersistError on IO failure.
-  void flush_now();
-  [[nodiscard]] std::uint64_t checkpoints_written() const noexcept {
-    return written_.load(std::memory_order_relaxed);
-  }
-  /// Periodic/final checkpoints that failed (and were absorbed).
-  [[nodiscard]] std::uint64_t checkpoint_failures() const noexcept {
-    return failures_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void run();
-  /// flush_now() with the failure absorbed into failures_.
-  void try_flush() noexcept;
-
-  const AdmissionEngine& engine_;
-  std::string path_;
-  std::chrono::milliseconds interval_;
-  const persist::Journal* journal_;
-  std::mutex write_mu_;  ///< serializes snapshot writes to path_
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::atomic<std::uint64_t> written_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::thread thread_;
-};
+/// store_digest() of one engine shard's controller, taken under the
+/// shard mutex — how engine recovery is checked bit-identical per
+/// shard. \pre shard < engine.shards()
+[[nodiscard]] std::uint32_t store_digest(const AdmissionEngine& engine,
+                                         std::size_t shard);
 
 }  // namespace edfkit

@@ -61,11 +61,6 @@ class DemandAccumulator {
       const TaskSet& ts, const std::vector<bool>& approximated,
       Time interval, bool* degraded);
 
-  /// Best-effort value for diagnostics.
-  [[nodiscard]] double demand_estimate() const noexcept;
-  /// Best-effort slope (utilization of approximated tasks).
-  [[nodiscard]] double ready_utilization_estimate() const noexcept;
-
  private:
   // S-scaled certified bounds: dlo_ <= dbf' * S <= dhi_, and the same
   // for the ready utilization.

@@ -4,13 +4,10 @@
 /// space, stats and ladder options) plus, when a data directory is
 /// configured, its own write-ahead journal and snapshot file.
 ///
-/// Tenants use *controller-level* durability, not engine-level, on
-/// purpose: controller journal replay is bit-identical — the TaskIds a
-/// recovered controller assigns are exactly the ids it handed out
-/// before the crash, so the ids remote clients hold stay valid across
-/// a server restart. (Engine recovery may remap ids; that is fine for
-/// in-process callers holding GlobalTaskIds, fatal for clients across
-/// a reconnect.)
+/// Tenant durability is controller journal replay, which is
+/// bit-identical: the TaskIds a recovered controller assigns are
+/// exactly the ids it handed out before the crash, so the ids remote
+/// clients hold stay valid across a server restart.
 ///
 /// Durability class is negotiated at HELLO (net/protocol.hpp): the
 /// first HELLO for a name creates the tenant with the requested

@@ -32,8 +32,7 @@
 ///   EveryN      — fdatasync every `fsync_interval` records: bounded
 ///                 loss window, amortized flush cost.
 ///
-/// append() is thread-safe (internal mutex): the engine journals from
-/// concurrent admit paths. LSNs are record indices (0-based): a
+/// append() is thread-safe (internal mutex). LSNs are record indices (0-based): a
 /// snapshot taken at lsn L reflects exactly records [0, L), and
 /// recovery replays [L, end).
 ///

@@ -359,59 +359,6 @@ TEST(Snapshot, EngineRoundTripRestoresShards) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, EngineJournalRecoveryRestoresResidents) {
-  const std::string snap = temp_path("ej.snap");
-  const std::string wal = temp_path("ej.wal");
-  std::remove(snap.c_str());
-  std::remove(wal.c_str());
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.admission.skip_exact = true;
-  persist::Journal journal = persist::Journal::create(wal);
-  std::vector<GlobalTaskId> placed;
-  {
-    AdmissionEngine engine(opts);
-    engine.attach_journal(&journal);
-    Rng rng(9);
-    for (int round = 0; round < 4; ++round) {
-      const TaskSet ts = draw_small_set(rng, 0.5);
-      std::vector<Task> group(ts.begin(), ts.end());
-      const GroupPlacement g = engine.admit_group(group);
-      if (g.admitted) {
-        placed.insert(placed.end(), g.ids.begin(), g.ids.end());
-      }
-      if (round == 1) save_snapshot(engine, snap, &journal);
-      if (!placed.empty() && round >= 2) {
-        (void)engine.remove(placed.front());
-        placed.erase(placed.begin());
-      }
-    }
-    engine.attach_journal(nullptr);
-
-    EngineOptions stale;
-    stale.shards = 1;
-    AdmissionEngine restored(stale);
-    const RecoveryResult rec = recover(restored, snap, wal);
-    EXPECT_TRUE(rec.snapshot_loaded);
-    EXPECT_GT(rec.replayed, 0u);
-    EXPECT_EQ(rec.skipped, 0u);
-    const EngineStats a = engine.stats_locked();
-    const EngineStats b = restored.stats_locked();
-    EXPECT_EQ(a.resident, b.resident);
-    EXPECT_EQ(a.shard_resident, b.shard_resident);
-    for (std::size_t i = 0; i < engine.shards(); ++i) {
-      const TaskSet sa = engine.shard_snapshot(i);
-      const TaskSet sb = restored.shard_snapshot(i);
-      ASSERT_EQ(sa.size(), sb.size()) << "shard " << i;
-      for (std::size_t r = 0; r < sa.size(); ++r) {
-        EXPECT_TRUE(sa[r] == sb[r]) << "shard " << i << " row " << r;
-      }
-    }
-  }
-  std::remove(snap.c_str());
-  std::remove(wal.c_str());
-}
-
 TEST(Snapshot, KindMismatchAndGarbageAreTypedErrors) {
   const std::string path = temp_path("kind");
   AdmissionController ctl;

@@ -2,7 +2,8 @@
 /// Fixed-seed churn traces shared by the decision pin
 /// (admission/test_decision_pin.cpp) and the snapshot read-compat test
 /// (persist/test_snapshot_compat.cpp), plus the driver both use to step
-/// a controller or an engine through them. The traces come from
+/// a controller or an engine through them (the engine recovery tests in
+/// admission/test_engine.cpp drive their own traces with it too). The traces come from
 /// generate_churn_trace with fixed seeds, so the same event stream is
 /// produced by every build of the library; the driver folds every
 /// decision into a 64-bit FNV-1a digest (admitted, rung, verdict, ids,
