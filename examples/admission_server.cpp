@@ -27,6 +27,9 @@
 /// Backpressure: --max-pending / --max-residents / --util-headroom
 /// drive the shed policy (net/shed.hpp) — admits past the limits are
 /// answered Shed with --retry-after-ms, without running the ladder.
+/// --util-headroom is a fraction of each tenant's platform capacity: a
+/// tenant on m processors (HELLO platform_m) is shed from utilization
+/// headroom * m on; 1.0 disables it.
 ///
 /// Shutdown: SIGTERM (or SIGINT) stops the loop at the next tick
 /// boundary, drains — fdatasyncs every tenant journal — then runs the

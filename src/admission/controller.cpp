@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "admission/snapshot.hpp"
+#include "analysis/multi/global_tests.hpp"
 #include "obs/obs.hpp"
 #include "persist/journal.hpp"
 #include "query/query.hpp"
@@ -391,11 +392,22 @@ GroupDecision AdmissionController::decide(std::span<const Task> tasks,
     // Global ladder over the widened set: tentative insert, one settled
     // ladder pass, rollback on reject. The demand store's epsilon
     // machinery keeps its aggregates maintained but takes no part in
-    // the verdict.
+    // the verdict. Its density bounds settle most GFB accepts in O(1),
+    // reporting exactly what the from-scratch gfb rung would (every
+    // such accept is also one of gfb_density_test); whatever they
+    // cannot prove runs the whole ladder, gfb first.
     probe.enter(AdmissionRung::Utilization);
     demand_.add_group(tasks, d.ids);
-    const GlobalLadderOutcome g = run_global_ladder(
-        demand_.resident(), opts_.platform, opts_.skip_exact, probe);
+    GlobalLadderOutcome g;  // rung Utilization, decided_by GfbDensity
+    if (multi::gfb_bounds_accept(demand_.density_bounds(),
+                                 opts_.platform.m)) {
+      g.accept = true;
+      g.analysis.verdict = Verdict::Feasible;
+      g.analysis.iterations = demand_.size();
+    } else {
+      g = run_global_ladder(demand_.resident(), opts_.platform,
+                            opts_.skip_exact, probe);
+    }
     d.analysis = g.analysis;
     if (opts_.return_certificate &&
         (g.accept || d.analysis.verdict == Verdict::Infeasible)) {

@@ -29,8 +29,13 @@
 /// (query/query.hpp) through the backend registry, mapped onto the same
 /// rung names so stats, traces, and wire STATS stay comparable with
 /// partitioned deployments:
-///   Utilization — U > m capacity reject (exact rationals) + the GFB
-///                 density accept, both O(n);
+///   Utilization — the GFB density accept, O(1) when the density
+///                 bounds IncrementalDemand maintains prove it with
+///                 margin (multi::gfb_bounds_accept). Otherwise the
+///                 from-scratch O(n) gfb sweep runs: its accept, or its
+///                 U > m capacity and C > D rejects (exact rationals).
+///                 A fast accept reports exactly what the sweep would
+///                 (Feasible, iterations = |widened set|);
 ///   Approximate — the window sufficient tests (BCL, iterated BCL,
 ///                 load/busy-window), cheapest first;
 ///   Exact       — global RTA, then the decisive m-processor simulation

@@ -578,6 +578,7 @@ void IncrementalDemand::apply_entries(const Task& t, Time level, int sign,
   if (adjust_slack && index_engaged_) slack_adjust(t, sign);
   accumulate(util_scaled_, task_util_pair(t), sign);
   accumulate(kay_, task_kay_pair(t), sign);
+  apply_density(t, sign);
   if (sign > 0) {
     d_max_ = std::max(d_max_, t.effective_deadline());
   } else if (t.effective_deadline() == d_max_) {
@@ -612,6 +613,60 @@ void IncrementalDemand::apply_entries(const Task& t, Time level, int sign,
     cert_dead_ = !any_valid;
   }
   util_valid_ = false;
+}
+
+void IncrementalDemand::apply_density(const Task& t, int sign) {
+  if (!multi::gfb_eligible(t)) {
+    gfb_ineligible_ += static_cast<std::size_t>(sign);
+    return;
+  }
+  const ScaledPair p = multi::density_pair(t);
+  accumulate(density_sum_, p, sign);
+  if (sign > 0) {
+    // Floor and ceil are monotone, so both component maxima belong to
+    // the largest density.
+    density_max_.lo = std::max(density_max_.lo, p.lo);
+    density_max_.hi = std::max(density_max_.hi, p.hi);
+  } else if (p.hi == density_max_.hi) {
+    // A smaller hi means a strictly smaller density: the max (and its
+    // lo) is still resident. An equal one may have been the max.
+    density_max_stale_ = true;
+  }
+}
+
+void IncrementalDemand::rederive_density() {
+  density_sum_ = ScaledPair{};
+  density_max_ = ScaledPair{};
+  density_max_stale_ = false;
+  gfb_ineligible_ = 0;
+  for (const Task& t : view_.tasks()) apply_density(t, +1);
+}
+
+multi::DensityBounds IncrementalDemand::density_bounds() const {
+  if (density_max_stale_) {
+    // Argmax by exact cross-multiplication (C_a*s_b vs C_b*s_a, each
+    // < 2^126), then one pair for the winner.
+    const Task* best = nullptr;
+    for (const Task& t : view_.tasks()) {
+      if (!multi::gfb_eligible(t)) continue;
+      if (best == nullptr ||
+          static_cast<Int128>(t.wcet) *
+                  std::min(best->deadline, best->period) >
+              static_cast<Int128>(best->wcet) *
+                  std::min(t.deadline, t.period)) {
+        best = &t;
+      }
+    }
+    density_max_ =
+        best != nullptr ? multi::density_pair(*best) : ScaledPair{};
+    density_max_stale_ = false;
+  }
+  multi::DensityBounds b;
+  b.sum = density_sum_;
+  b.max = density_max_;
+  b.ineligible = gfb_ineligible_;
+  b.tasks = view_.size();
+  return b;
 }
 
 void IncrementalDemand::refine(std::size_t row, Time to_level) {
@@ -1223,6 +1278,11 @@ void IncrementalDemand::rebuild() {
   kay_ = ScaledPair{};
   d_max_ = 0;
   d_max_stale_ = false;
+  density_sum_ = ScaledPair{};
+  density_max_ = ScaledPair{};
+  density_max_stale_ = false;
+  gfb_ineligible_ = 0;
+  constrained_ = 0;
   cert_x_.fill(0);
   cert_region_.fill(view_.empty() ? kS : -1);  // next check() re-certifies
   cert_lo_ = cert_region_[0];
@@ -1311,6 +1371,15 @@ bool IncrementalDemand::matches_rebuild() const {
   }
   if (fresh.kay_.lo != kay_.lo || fresh.kay_.hi != kay_.hi) return false;
   if (fresh.constrained_ != constrained_) return false;
+  // The density aggregate: sums and counts exactly, the max after a
+  // stale rescan (the fresh copy is never stale).
+  const multi::DensityBounds db = density_bounds();
+  const multi::DensityBounds fb = fresh.density_bounds();
+  if (db.sum.lo != fb.sum.lo || db.sum.hi != fb.sum.hi ||
+      db.max.lo != fb.max.lo || db.max.hi != fb.max.hi ||
+      db.ineligible != fb.ineligible || db.tasks != fb.tasks) {
+    return false;
+  }
   const Rational& mine = utilization();
   const Rational& theirs = fresh.utilization();
   if (mine.exact() != theirs.exact()) return false;

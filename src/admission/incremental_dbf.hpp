@@ -104,6 +104,17 @@
 /// or when lapped mid-copy — and never blocks the writer. This is what
 /// lets AdmissionEngine::stats() run without taking shard mutexes.
 ///
+/// GFB density aggregate (the global mode's O(1) accept): next to the
+/// utilization bounds the store keeps certified bounds on the density
+/// sum Sigma C/min(D, T) and the max density over the gfb-eligible
+/// residents (analysis/multi/global_tests.hpp), plus a count of the
+/// ineligible ones. The sum is exact-inverse like every other
+/// aggregate; the max goes stale when a max-density resident departs
+/// and the next density_bounds() rescans in O(n), as d_max_ does. The
+/// aggregate is derived state: snapshots do not carry it, the loader
+/// recomputes it from the rows, and it publishes nothing new into the
+/// header.
+///
 /// Residents live in a TaskView (demand/task_view.hpp): densely packed
 /// structure-of-arrays rows behind stable slots, so the refinement loop
 /// and the O(n) aggregates stream flat arrays instead of walking a
@@ -117,6 +128,7 @@
 #include <span>
 #include <vector>
 
+#include "analysis/multi/global_tests.hpp"
 #include "analysis/utilization.hpp"
 #include "demand/task_view.hpp"
 #include "model/task_set.hpp"
@@ -298,6 +310,11 @@ class IncrementalDemand {
   /// slack theta, or -1 when no (non-negative) certificate is held.
   [[nodiscard]] Int128 certificate() const noexcept { return cert_lo_; }
 
+  /// Certified GFB density bounds of the resident set, the input of
+  /// multi::gfb_bounds_accept (the global mode's O(1) accept). O(1),
+  /// except for one O(n) rescan after a max-density resident departed.
+  [[nodiscard]] multi::DensityBounds density_bounds() const;
+
   /// One ascending checkpoint scan with adaptive refinement (see file
   /// header); stops early once the linear envelope provably fits
   /// forever (I >= max deadline and (1-U)*I >= K). A passing scan
@@ -423,6 +440,11 @@ class IncrementalDemand {
   /// slack_adjust afterwards.
   void apply_entries(const Task& t, Time level, int sign,
                      bool adjust_slack = true);
+  /// t's share of the GFB density aggregate (part of apply_entries).
+  void apply_density(const Task& t, int sign);
+  /// Recompute the whole density aggregate from the resident rows in one
+  /// O(n) pass (the snapshot loader: the aggregate is not serialized).
+  void rederive_density();
   /// add() body minus slack maintenance and header publication.
   TaskId add_one(const Task& t, bool adjust_slack);
   /// remove() body minus slack maintenance and header publication; the
@@ -513,6 +535,15 @@ class IncrementalDemand {
   /// the next scan recomputes it in O(n).
   mutable Time d_max_ = 0;
   mutable bool d_max_stale_ = false;
+  /// GFB density aggregate (density_bounds()): the exact-inverse sum of
+  /// the gfb-eligible residents' density pairs, their component-wise
+  /// max, and the count of ineligible residents. Removing a max-density
+  /// task marks the max stale; the next read rescans in O(n), as for
+  /// d_max_. Eligible pairs are <= S each, so the sum cannot overflow.
+  ScaledPair density_sum_;
+  mutable ScaledPair density_max_;
+  mutable bool density_max_stale_ = false;
+  std::size_t gfb_ineligible_ = 0;
   /// Segmented slack certificate: cert_region_[j] is an S-scaled lower
   /// bound on the slack ratio over intervals in [cert_x_[j],
   /// cert_x_[j+1]) (the last region extends to infinity). -1 = none

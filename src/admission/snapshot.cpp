@@ -425,10 +425,12 @@ struct SnapshotCodec {
     d.constrained_ = r.u64();
 
     // Transient state restarts clean; the exact rational rematerializes
-    // lazily from the (restored) resident rows.
+    // lazily from the (restored) resident rows, and the GFB density
+    // aggregate (not serialized) is re-derived from them in one pass.
     d.corner_scratch_.clear();
     d.util_ = Rational{};
     d.util_valid_ = false;
+    d.rederive_density();
     d.publish_header();
   }
 
@@ -618,6 +620,7 @@ struct SnapshotCodec {
     d.kay_ = ScaledPair{};
     d.d_max_ = 0;
     d.d_max_stale_ = false;
+    d.rederive_density();  // empty view: all zero
     d.cert_x_.fill(0);
     d.cert_region_.fill(kFixedPointScale);  // empty set: fully slack
     d.cert_lo_ = kFixedPointScale;

@@ -207,6 +207,26 @@ FeasibilityResult gfb_density_test(const TaskColumns& c, std::uint32_t m) {
   return r;  // Unknown
 }
 
+bool gfb_eligible(const Task& t) noexcept {
+  return t.jitter == 0 && t.wcet <= std::min(t.deadline, t.period);
+}
+
+ScaledPair density_pair(const Task& t) noexcept {
+  return scale_fraction(static_cast<Int128>(t.wcet),
+                        static_cast<Int128>(std::min(t.deadline, t.period)));
+}
+
+bool gfb_bounds_accept(const DensityBounds& b, std::uint32_t m) noexcept {
+  // The doc comment's error analysis covers n < 2^20 tasks.
+  if (m == 0 || b.ineligible != 0 || b.tasks >= (std::size_t{1} << 20)) {
+    return false;
+  }
+  const Int128 capacity = static_cast<Int128>(m) * kFixedPointScale;
+  const Int128 margin = capacity >> 30;  // m * S * 2^-30, exact
+  return b.sum.hi + static_cast<Int128>(m - 1) * b.max.hi <=
+         capacity - margin;
+}
+
 FeasibilityResult global_bcl_test(const TaskColumns& c, std::uint32_t m) {
   FeasibilityResult r;
   if (c.empty()) {

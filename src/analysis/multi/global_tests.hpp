@@ -92,6 +92,7 @@
 #include "demand/task_view.hpp"
 #include "model/platform.hpp"
 #include "model/task_set.hpp"
+#include "util/fixedpoint.hpp"
 
 namespace edfkit::multi {
 
@@ -112,6 +113,58 @@ struct GlobalTestConfig {
 /// (U > m, C_i > D_i). Arbitrary deadlines. \pre zero jitter.
 [[nodiscard]] FeasibilityResult gfb_density_test(const TaskColumns& c,
                                                  std::uint32_t m);
+
+/// [gfb, incremental] Certified aggregate density bounds of a task
+/// multiset, from which gfb_bounds_accept decides a GFB accept without
+/// a sweep. IncrementalDemand (admission/incremental_dbf.hpp) maintains
+/// one under add/remove for the admission controller's global mode.
+struct DensityBounds {
+  /// S-scaled bounds (util/fixedpoint.hpp) on sum(delta_i) over the
+  /// gfb_eligible tasks, delta_i = C_i/min(D_i, T_i).
+  ScaledPair sum;
+  /// S-scaled bounds on max(delta_i) over the same tasks ({0, 0} when
+  /// there are none).
+  ScaledPair max;
+  /// Tasks outside both sums (gfb_eligible false).
+  std::size_t ineligible = 0;
+  /// All tasks, eligible or not.
+  std::size_t tasks = 0;
+};
+
+/// True when `t` can be part of a set GFB accepts: zero jitter and
+/// C <= min(D, T), i.e. delta <= 1. A set holding any other task never
+/// passes gfb_density_test (the jitter gate answers Unknown; with
+/// delta > 1, sum + (m-1)*max >= m*delta > m), so gfb_bounds_accept
+/// abstains while one is present.
+[[nodiscard]] bool gfb_eligible(const Task& t) noexcept;
+
+/// S-scaled floor/ceil bounds on delta = C/min(D, T) of one
+/// gfb_eligible task (each endpoint <= S).
+[[nodiscard]] ScaledPair density_pair(const Task& t) noexcept;
+
+/// [gfb, incremental] O(1) sufficient accept: true only if every task
+/// is gfb_eligible, tasks < 2^20, and
+///   sum.hi + (m-1)*max.hi <= m*S - m*S*2^-30.
+/// Every true answer is also an accept of gfb_density_test on the same
+/// set and m, whichever of its paths runs. Write L = sum(delta) +
+/// (m-1)*max(delta) exactly; the bounds give L <= m*(1 - 2^-30).
+///  * Jitter gate and C_i > D_i gate: excluded by eligibility.
+///  * U > m gate: U <= sum(delta) <= L < m, so the exact rational path
+///    does not refute. Its double path sums n rounded quotients and
+///    inflates by (n+4)*2^-52, so its upper bound is at most
+///    U*(1 + (3n+10)*2^-53) (plus second-order terms) < U*(1 + 2^-31)
+///    for n < 2^20: it proves U <= m, never refutes and never
+///    straddles.
+///  * Exact density path: L <= m accepts.
+///  * Double density path: n rounded quotients, their sum, one product
+///    and one addition, inflated by (n+6)*2^-52, bound L by at most
+///    L*(1 + (3n+16)*2^-53) < L*(1 + 2^-31) <= m*(1 - 2^-31) < m.
+/// The margin is what keeps the ~n*2^-52 relative error of the double
+/// paths inside the proof; at the exact boundary (L == m) this
+/// predicate abstains and the from-scratch test decides. False means
+/// nothing: run gfb_density_test.
+[[nodiscard]] bool gfb_bounds_accept(const DensityBounds& b,
+                                     std::uint32_t m) noexcept;
 
 /// [gbl-bcl] One-pass window test. \pre zero jitter, D_i <= T_i.
 [[nodiscard]] FeasibilityResult global_bcl_test(const TaskColumns& c,

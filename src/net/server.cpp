@@ -506,7 +506,8 @@ void Server::serve_one(Connection& c, const NetRequest& req,
           break;
         }
         AdmissionController& ctl = tenant->controller();
-        if (shed_.should_shed(op, queue_depth, ctl.demand_header())) {
+        if (shed_.should_shed(op, queue_depth, ctl.demand_header(),
+                              ctl.platform().m)) {
           fail(NetStatus::Shed);
           resp.retry_after_ms = shed_.options().retry_after_ms;
           if (metrics_ != nullptr) metrics_->sheds.add();
@@ -537,7 +538,8 @@ void Server::serve_one(Connection& c, const NetRequest& req,
           break;
         }
         AdmissionController& ctl = tenant->controller();
-        if (shed_.should_shed(op, queue_depth, ctl.demand_header())) {
+        if (shed_.should_shed(op, queue_depth, ctl.demand_header(),
+                              ctl.platform().m)) {
           fail(NetStatus::Shed);
           resp.retry_after_ms = shed_.options().retry_after_ms;
           if (metrics_ != nullptr) metrics_->sheds.add();
@@ -826,7 +828,8 @@ void Server::serve_fused(Tenant& tenant, std::size_t i, std::size_t n,
     return resp;
   };
 
-  if (shed_.should_shed(NetOp::Admit, queue_depth, ctl.demand_header())) {
+  if (shed_.should_shed(NetOp::Admit, queue_depth, ctl.demand_header(),
+                        ctl.platform().m)) {
     if (metrics_ != nullptr) {
       metrics_->requests.add(n);
       metrics_->sheds.add(n);

@@ -38,7 +38,9 @@ struct ShedOptions {
   /// unlike a policy reject such as AdmissionOptions::utilization_cap.)
   std::size_t max_residents = 0;
   /// Shed admits for a tenant whose certified utilization upper bound
-  /// reached this. >= 1.0 disables (the ladder itself settles U >= 1).
+  /// reached this fraction of its platform's capacity (headroom * m for
+  /// an m-processor tenant, as AdmissionOptions::utilization_cap).
+  /// >= 1.0 disables (the ladder itself settles U >= m).
   double utilization_headroom = 1.0;
   /// Retry hint stamped into Shed responses.
   std::uint32_t retry_after_ms = 50;
@@ -52,9 +54,10 @@ class ShedPolicy {
 
   /// Should this request be shed? `pending` is the depth of the
   /// current tick's decoded-request queue; `header` the tenant's
-  /// wait-free store header.
+  /// wait-free store header; `processors` the tenant's platform m.
   [[nodiscard]] bool should_shed(NetOp op, std::size_t pending,
-                                 const StoreHeader& header) const noexcept;
+                                 const StoreHeader& header,
+                                 std::uint32_t processors) const noexcept;
 
  private:
   ShedOptions opts_;

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -22,6 +23,7 @@
 #include "query/certificate.hpp"
 #include "query/query.hpp"
 #include "sim/oracle.hpp"
+#include "util/random.hpp"
 
 namespace edfkit {
 namespace {
@@ -262,6 +264,211 @@ TEST(GlobalAdmission, EngineGlobalModeCoercesToOneController) {
   EXPECT_TRUE(stats.global);
   EXPECT_EQ(stats.processors, 4u);
   EXPECT_EQ(stats.resident, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental GFB: the O(1) accept from IncrementalDemand's maintained
+// density bounds must never accept what gfb_density_test refuses, and
+// the controller must report exactly the from-scratch gfb outcome.
+// ---------------------------------------------------------------------------
+
+/// The predicate over a store holding `tasks`, and the from-scratch test.
+bool bounds_accept(const std::vector<Task>& tasks, std::uint32_t m) {
+  IncrementalDemand d;
+  for (const Task& t : tasks) (void)d.add(t);
+  return multi::gfb_bounds_accept(d.density_bounds(), m);
+}
+bool gfb_feasible(const std::vector<Task>& tasks, std::uint32_t m) {
+  return multi::gfb_density_test(TaskSet(tasks), Platform{m}).feasible();
+}
+
+TEST(IncrementalGfb, ExactBoundaryAbstainsButTheControllerStillAdmits) {
+  // m = 2, delta = 2/3 twice: sum + (m-1)*max = 4/3 + 2/3 == m exactly.
+  // GFB accepts (<=); rounded-up bounds less a margin cannot prove a
+  // tie, so the predicate abstains and the controller admits through
+  // the from-scratch sweep. The first arrival (L = 4/3) takes the O(1)
+  // path; both report the same outcome.
+  const std::vector<Task> pair = {tk(2, 3, 3), tk(2, 3, 3)};
+  EXPECT_FALSE(bounds_accept(pair, 2));
+  EXPECT_TRUE(gfb_feasible(pair, 2));
+
+  AdmissionOptions ao;
+  ao.platform = Platform{2};
+  ao.return_certificate = true;
+  AdmissionController ctl(ao);
+  for (std::size_t i = 0; i < pair.size(); ++i) {
+    const AdmissionDecision d = ctl.try_admit(pair[i]);
+    ASSERT_TRUE(d.admitted) << "arrival " << i;
+    EXPECT_EQ(d.rung, AdmissionRung::Utilization);
+    EXPECT_EQ(d.analysis.verdict, Verdict::Feasible);
+    EXPECT_EQ(d.analysis.iterations, i + 1);
+    EXPECT_EQ(d.certificate.kind, CertificateKind::MultiFeasibleDensity);
+    EXPECT_TRUE(verify(ctl.resident(), d.certificate).valid);
+  }
+  EXPECT_TRUE(ctl.verify_consistency());
+}
+
+TEST(IncrementalGfb, MarginBoundaryIsExact) {
+  // m = 2, two tasks of delta = (2^30 - 1)/(3 * 2^29): S*delta is an
+  // integer and sum.hi + max.hi lands exactly on m*S - m*S*2^-30, the
+  // largest value the predicate accepts.
+  const Time c = (Time{1} << 30) - 1;
+  const Time d = 3 * (Time{1} << 29);
+  const std::vector<Task> at_margin = {tk(c, d, d), tk(c, d, d)};
+  EXPECT_TRUE(bounds_accept(at_margin, 2));
+  EXPECT_TRUE(gfb_feasible(at_margin, 2));
+  // One tick shorter deadline and period: still inside GFB (L < 2),
+  // but within the margin, so the predicate abstains.
+  const std::vector<Task> inside_margin = {tk(c, d - 1, d - 1),
+                                           tk(c, d - 1, d - 1)};
+  EXPECT_FALSE(bounds_accept(inside_margin, 2));
+  EXPECT_TRUE(gfb_feasible(inside_margin, 2));
+}
+
+TEST(IncrementalGfb, SetsJustInsideTheBoundAccept) {
+  // L = 3 * (2e6 - 1)/3e6 = 2 - 1e-6 on m = 2; and a mixed set on m = 4.
+  const std::vector<Task> near = {tk(1'999'999, 3'000'000, 3'000'000),
+                                  tk(1'999'999, 3'000'000, 3'000'000)};
+  EXPECT_TRUE(bounds_accept(near, 2));
+  EXPECT_TRUE(gfb_feasible(near, 2));
+  // 1.8 + 3 * 0.6 = 3.6 <= 4, with a one-shot (delta = C/D) and an
+  // unconstrained deadline (delta = C/T) among them.
+  const Task one_shot = tk(3, 10, kTimeInfinity);
+  const std::vector<Task> mixed = {tk(6, 10, 10), tk(3, 40, 10), one_shot,
+                                   tk(3, 5, 20)};
+  EXPECT_TRUE(bounds_accept(mixed, 4));
+  EXPECT_TRUE(gfb_feasible(mixed, 4));
+
+  AdmissionOptions ao;
+  ao.platform = Platform{4};
+  AdmissionController ctl(ao);
+  const GroupDecision g = ctl.admit_group(mixed);
+  ASSERT_TRUE(g.admitted);
+  EXPECT_EQ(g.rung, AdmissionRung::Utilization);
+  EXPECT_EQ(g.analysis.iterations, mixed.size());
+}
+
+TEST(IncrementalGfb, IneligibleResidentsMakeThePredicateAbstain) {
+  Task jittered = tk(1, 100, 100);
+  jittered.jitter = 5;
+  const Task c_above_d = tk(5, 4, 10);  // C > D
+  const Task c_above_t = tk(5, 20, 4);  // C > T (D > T): delta > 1
+  for (const Task& bad : {jittered, c_above_d, c_above_t}) {
+    const std::vector<Task> set = {tk(1, 100, 100), bad};
+    EXPECT_FALSE(bounds_accept(set, 8)) << bad.to_string();
+    EXPECT_FALSE(gfb_feasible(set, 8)) << bad.to_string();
+
+    // The count is exact-inverse: once the ineligible task departs, the
+    // light remainder is accepted again.
+    IncrementalDemand d;
+    (void)d.add(tk(1, 100, 100));
+    const TaskId id = d.add(bad);
+    EXPECT_EQ(d.density_bounds().ineligible, 1u);
+    d.rebuild();  // re-derives the same aggregate from the rows
+    EXPECT_EQ(d.density_bounds().ineligible, 1u);
+    EXPECT_TRUE(d.matches_rebuild());
+    ASSERT_TRUE(d.remove(id));
+    EXPECT_EQ(d.density_bounds().ineligible, 0u);
+    EXPECT_TRUE(multi::gfb_bounds_accept(d.density_bounds(), 8));
+    EXPECT_TRUE(d.matches_rebuild());
+  }
+}
+
+TEST(IncrementalGfb, ChurnDecisionsMatchTheFromScratchTest) {
+  // Random churn around the GFB boundary, with groups, ineligible
+  // arrivals, and departures of the max-density resident (forcing the
+  // stale-max rescan). For every decision: it settles as a GFB accept
+  // iff the from-scratch test accepts the widened set, and then
+  // reports iterations == |widened|.
+  const std::uint64_t mult = fuzz_multiplier();
+  std::size_t gfb_accepts = 0;
+  std::size_t max_departures = 0;
+  for (const std::uint32_t m : {2u, 4u, 8u}) {
+    Rng rng(4242 + m);
+    AdmissionOptions ao;
+    ao.platform = Platform{m};
+    ao.skip_exact = true;  // the Exact rungs cannot change the claim
+    AdmissionController ctl(ao);
+    std::vector<std::vector<TaskId>> live;
+    const auto draw = [&] {
+      const Time period = rng.uniform_time(10, 2000);
+      const double delta = rng.uniform(0.02, 0.45);
+      Time span = period;
+      if (rng.bernoulli(0.3)) span = rng.uniform_time(period / 2, period);
+      Task t = tk(std::max<Time>(1, static_cast<Time>(delta * span)),
+                  span, period);
+      if (rng.bernoulli(0.1)) t.deadline = period + rng.uniform_time(1, 50);
+      if (rng.bernoulli(0.03)) t.jitter = rng.uniform_time(0, span - 1);
+      if (rng.bernoulli(0.02)) {
+        t.wcet = std::min(t.deadline, t.period) + 1;  // ineligible
+      }
+      return t;
+    };
+    const std::size_t events = 400 * mult;
+    for (std::size_t e = 0; e < events; ++e) {
+      const bool depart =
+          !live.empty() && rng.bernoulli(live.size() > 4 * m ? 0.6 : 0.3);
+      if (depart) {
+        std::size_t victim = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<int>(live.size()) - 1));
+        if (rng.bernoulli(0.3)) {
+          // The resident group holding the largest eligible density.
+          Int128 best = -1;
+          for (std::size_t k = 0; k < live.size(); ++k) {
+            for (const TaskId id : live[k]) {
+              const Task* t = ctl.find(id);
+              if (t == nullptr || !multi::gfb_eligible(*t)) continue;
+              const Int128 hi = multi::density_pair(*t).hi;
+              if (hi > best) {
+                best = hi;
+                victim = k;
+              }
+            }
+          }
+          ++max_departures;
+        }
+        EXPECT_EQ(ctl.remove_group(live[victim]), live[victim].size());
+        live[victim] = live.back();
+        live.pop_back();
+      } else {
+        std::vector<Task> offer{draw()};
+        if (rng.bernoulli(0.2)) {
+          const int extra = rng.uniform_int(1, 4);
+          for (int i = 0; i < extra; ++i) offer.push_back(draw());
+        }
+        std::vector<Task> widened(ctl.resident().begin(),
+                                  ctl.resident().end());
+        widened.insert(widened.end(), offer.begin(), offer.end());
+        const bool expected = gfb_feasible(widened, m);
+        GroupDecision d;
+        if (offer.size() == 1) {
+          const AdmissionDecision a = ctl.try_admit(offer.front());
+          d.admitted = a.admitted;
+          d.rung = a.rung;
+          d.analysis = a.analysis;
+          if (a.admitted) d.ids = {a.id};
+        } else {
+          d = ctl.admit_group(offer);
+        }
+        const bool gfb_accept =
+            d.admitted && d.rung == AdmissionRung::Utilization;
+        ASSERT_EQ(gfb_accept, expected)
+            << "m=" << m << " event " << e << " n=" << widened.size();
+        if (gfb_accept) {
+          ++gfb_accepts;
+          EXPECT_EQ(d.analysis.iterations, widened.size());
+          EXPECT_EQ(d.analysis.verdict, Verdict::Feasible);
+        }
+        if (d.admitted) live.push_back(d.ids);
+      }
+      if (e % 50 == 0) {
+        ASSERT_TRUE(ctl.verify_consistency()) << "event " << e;
+      }
+    }
+    EXPECT_TRUE(ctl.verify_consistency());
+  }
+  EXPECT_GT(gfb_accepts, 0u);
+  EXPECT_GT(max_departures, 0u);
 }
 
 // ---------------------------------------------------------------------------

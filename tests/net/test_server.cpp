@@ -349,6 +349,48 @@ TEST(ServerShed, ResidentCapShedsAdmitsButNeverRemovals) {
             NetStatus::Ok);
 }
 
+TEST(ServerShed, UtilizationHeadroomScalesWithPlatform) {
+  // Headroom is a fraction of the tenant's capacity: 0.5 of 4
+  // processors sheds from U = 2, not from U = 0.5.
+  ServerOptions opts;
+  opts.shed.utilization_headroom = 0.5;
+  Server server(opts);
+  Client client = Client::connect("127.0.0.1", server.port());
+  NetRequest hello = hello_request("gedf");
+  hello.platform_m = 4;
+  ASSERT_EQ(status_of(round_trip(server, client, std::move(hello))),
+            NetStatus::Ok);
+
+  // Six arrivals of U = 0.25 (GFB: 1.5 + 3 * 0.25 <= 4) take the tenant
+  // to U = 1.5, all served.
+  const Task quarter = tk(1, 4, 4);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(status_of(round_trip(server, client, admit_request(quarter))),
+              NetStatus::Ok)
+        << "arrival " << i;
+  }
+  // A group to U = 2.0 is still served; past it, admits are shed.
+  NetRequest grp;
+  grp.hdr.op = static_cast<std::uint8_t>(NetOp::AdmitGroup);
+  grp.group = {quarter, quarter};
+  EXPECT_EQ(status_of(round_trip(server, client, std::move(grp))),
+            NetStatus::Ok);
+  EXPECT_EQ(status_of(round_trip(server, client, admit_request(quarter))),
+            NetStatus::Shed);
+
+  // A uniprocessor tenant on the same server is still shed at 0.5.
+  Client uni = Client::connect("127.0.0.1", server.port());
+  ASSERT_EQ(status_of(round_trip(server, uni, hello_request("uni"))),
+            NetStatus::Ok);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(status_of(round_trip(server, uni, admit_request(quarter))),
+              NetStatus::Ok)
+        << "arrival " << i;
+  }
+  EXPECT_EQ(status_of(round_trip(server, uni, admit_request(quarter))),
+            NetStatus::Shed);
+}
+
 // ------------------------------------------------------------ fuzzer
 
 TEST(ServerFuzz, OversizedAndCorruptFramesCloseOnlyTheirConnection) {

@@ -18,6 +18,7 @@
 
 #include "admission/replay.hpp"
 #include "admission/snapshot.hpp"
+#include "analysis/multi/global_tests.hpp"
 #include "helpers.hpp"
 #include "persist/format.hpp"
 
@@ -222,6 +223,30 @@ TEST(Snapshot, GlobalControllerRoundTripKeepsPlatformAndDecisions) {
     ASSERT_EQ(sl.step(trace[i]), st.step(trace[i])) << "event " << i;
   }
   ASSERT_GT(live.size(), 0u);
+
+  // Depart the max-density resident on both stores right before the
+  // save: the live store's GFB density max is then stale, and the
+  // aggregate is not serialized — the loaded store must re-derive it
+  // from its rows and still decide exactly as the twin.
+  std::size_t max_key = 0;
+  Int128 max_hi = -1;
+  for (std::size_t k = 0; k < sl.live.size(); ++k) {
+    for (const TaskId id : sl.live[k].second) {
+      const Task* t = live.find(id);
+      ASSERT_NE(t, nullptr);
+      if (!multi::gfb_eligible(*t)) continue;
+      const Int128 hi = multi::density_pair(*t).hi;
+      if (hi > max_hi) {
+        max_hi = hi;
+        max_key = k;
+      }
+    }
+  }
+  ASSERT_GE(max_hi, 0);
+  TraceEvent depart;
+  depart.op = TraceOp::Depart;
+  depart.key = sl.live[max_key].first;
+  ASSERT_EQ(sl.step(depart), st.step(depart));
 
   save_snapshot(live, path, 5);
   AdmissionController loaded;  // uniprocessor defaults, overwritten by load
