@@ -11,12 +11,12 @@
 ///                [--obs-trace-out FILE] [--gate-fault-overhead X]
 ///                [--gate-repl-overhead X]
 ///
-/// --quick only reduces timing repetitions (best-of-1) and query/read
-/// cell iterations; the sweep grid and trace lengths stay identical so
+/// --quick only reduces timing repetitions (best-of-1) and read cell
+/// iterations; the sweep grid and trace lengths stay identical so
 /// a quick run's headline is directly comparable to the committed
 /// full-run baseline (the CI gate depends on this).
 ///
-/// Sections (schema = 8):
+/// Sections (schema = 9):
 ///
 ///  * admission — churn traces (gen/scenario Fixed family) with
 ///    n in {10, 100, 1000} resident tasks and pool utilization
@@ -43,20 +43,16 @@
 ///    only the group decisions are timed. The gate wants >= 2x
 ///    batch_dps/loop_dps at n=1000, U=0.99.
 ///
-///  * removal — a drain of half the resident set through the
-///    tombstoned store (departures mark checkpoints dead, O(level))
-///    vs eager compaction (the pre-tombstone per-removal segment
-///    erase), on a single-segment store where the memmove cost is
-///    maximal. Tombstoned ns/removal should stay flat as n grows;
-///    eager scales with the store size.
+///  * removal — ns per removal for a drain of half the resident set
+///    through the tombstoned store (departures mark checkpoints dead,
+///    O(level)), on a single-segment store, where erasing on every
+///    removal would memmove the most. Reported, not gated; it should
+///    stay flat as n grows.
 ///
 ///  * read — concurrent-read throughput of AdmissionEngine::stats():
 ///    `read_qps` polls the epoch-versioned wait-free headers while a
 ///    writer churns; `locked_qps` is the mutex path (stats_locked),
 ///    which convoys behind admissions.
-///
-///  * query — per-query latency of Query::run for the legacy
-///    Workload-copy entry vs the zero-copy WorkloadView entry.
 ///
 ///  * persist — durability costs (admission/snapshot.hpp): full
 ///    snapshot save (serialize + fsync + atomic rename) and load
@@ -118,15 +114,16 @@
 ///    Reported, not gated (absolute rates; no old-path twin exists for
 ///    a ratio).
 ///
-/// JSON schema (schema = 8; v7 had no multi section; v6 had no repl section; v5 had no fault
-/// section; v4 had no net section; v3 had no obs section and no
-/// known_regressions; v2 had no persist section; v1 had no
+/// JSON schema (schema = 9; v8 had a query section and eager_ns/speedup
+/// removal columns; v7 had no multi section; v6 had no repl section; v5
+/// had no fault section; v4 had no net section; v3 had no obs section
+/// and no known_regressions; v2 had no persist section; v1 had no
 /// batch/removal/read sections). `known_regressions` documents the
 /// accepted sub-1x admission cells (n=100 slack-index maintenance) with
 /// the scan-internals counters that explain them — the small-n gate
 /// tolerates those cells; a *new* regression shows up as a cell outside
 /// this list.
-///   { "bench": "perf_suite", "schema": 8, "seed": N, "quick": bool,
+///   { "bench": "perf_suite", "schema": 9, "seed": N, "quick": bool,
 ///     "epsilon": e,
 ///     "admission": [ { "n": N, "u": U, "events": N, "ladder": bool,
 ///                      "old_dps": f, "new_dps": f, "speedup": f,
@@ -136,13 +133,10 @@
 ///                      "batch_dps": f, "speedup": f,
 ///                      "speedup_vs_shortcircuit": f,
 ///                      "agreement": true } ... ],
-///     "removal":   [ { "n": N, "checkpoints": N, "eager_ns": f,
-///                      "tombstone_ns": f, "speedup": f } ... ],
+///     "removal":   [ { "n": N, "checkpoints": N, "tombstone_ns": f }
+///                    ... ],
 ///     "read":      [ { "readers": R, "locked_qps": f, "read_qps": f,
 ///                      "speedup": f } ],
-///     "query":     [ { "n": N, "backend": "chakraborty",
-///                      "old_ns_per_query": f, "view_ns_per_query": f,
-///                      "speedup": f } ... ],
 ///     "persist":   [ { "n": N, "snapshot_bytes": N, "save_ns": f,
 ///                      "load_ns": f, "journal_append_ns": f } ... ],
 ///     "obs":       [ { "n": N, "u": U, "events": N, "plain_dps": f,
@@ -196,7 +190,6 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/obs.hpp"
-#include "query/query.hpp"
 #include "repl/shipper.hpp"
 
 namespace {
@@ -522,14 +515,12 @@ BatchRow run_batch_cell(std::size_t n, double u, std::size_t group_size,
 struct RemovalRow {
   std::size_t n = 0;
   std::size_t checkpoints = 0;
-  double eager_ns = 0.0;
   double tombstone_ns = 0.0;
-  double speedup = 0.0;
 };
 
-/// Drain half the store, eager compaction vs tombstones, on the
-/// single-segment layout (index off) where the per-removal memmove is
-/// the whole checkpoint array — the cost the tombstones delete.
+/// Drain half the store on the single-segment layout (index off), where
+/// a per-removal erase would memmove the whole checkpoint array — the
+/// cost the tombstones delete.
 RemovalRow run_removal_cell(std::size_t n, double epsilon,
                             std::uint64_t seed, std::int64_t reps) {
   GeneratorConfig gen;
@@ -549,26 +540,21 @@ RemovalRow run_removal_cell(std::size_t n, double epsilon,
 
   RemovalRow row;
   row.n = n;
-  const auto timed = [&](bool eager) {
-    double best = 1e300;
-    for (std::int64_t rep = 0; rep < reps; ++rep) {
-      IncrementalDemand d(epsilon, /*use_slack_index=*/false, eager);
-      d.reserve(ts.size());  // bulk load: one reservation up front
-      std::vector<TaskId> ids;
-      ids.reserve(ts.size());
-      for (const Task& t : ts) ids.push_back(d.add(t));
-      row.checkpoints = d.checkpoint_count();
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < removals; ++i) {
-        (void)d.remove(ids[order[i]]);
-      }
-      best = std::min(best, seconds_since(t0));
+  double best = 1e300;
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
+    IncrementalDemand d(epsilon, /*use_slack_index=*/false);
+    d.reserve(ts.size());  // bulk load: one reservation up front
+    std::vector<TaskId> ids;
+    ids.reserve(ts.size());
+    for (const Task& t : ts) ids.push_back(d.add(t));
+    row.checkpoints = d.checkpoint_count();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < removals; ++i) {
+      (void)d.remove(ids[order[i]]);
     }
-    return best * 1e9 / static_cast<double>(removals);
-  };
-  row.eager_ns = timed(/*eager=*/true);
-  row.tombstone_ns = timed(/*eager=*/false);
-  row.speedup = row.eager_ns / row.tombstone_ns;
+    best = std::min(best, seconds_since(t0));
+  }
+  row.tombstone_ns = best * 1e9 / static_cast<double>(removals);
   return row;
 }
 
@@ -669,57 +655,6 @@ ReadRow run_read_cell(std::size_t readers, double epsilon,
   row.speedup = row.read_qps / row.locked_qps;
   stop.store(true);
   writer.join();
-  return row;
-}
-
-// ---------------------------------------------------------------- query
-
-struct QueryRow {
-  std::size_t n = 0;
-  double old_ns = 0.0;
-  double view_ns = 0.0;
-  double speedup = 0.0;
-};
-
-QueryRow run_query_cell(std::size_t n, double epsilon, std::uint64_t seed,
-                        std::int64_t reps, bool quick) {
-  GeneratorConfig gen;
-  gen.tasks = static_cast<int>(n);
-  gen.utilization = 0.9;
-  Rng rng(seed);
-  const TaskSet ts = generate_task_set(rng, gen);
-
-  ChakrabortyParams params;
-  params.epsilon = epsilon;
-  const Query q =
-      Query::single(TestKind::Chakraborty, params).with_certificates(false);
-
-  const std::size_t iters =
-      std::max<std::size_t>(50, (quick ? 20000 : 100000) / n);
-  double old_best = 1e300;
-  double view_best = 1e300;
-  for (std::int64_t rep = 0; rep < reps; ++rep) {
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t it = 0; it < iters; ++it) {
-        // The legacy entry: every call copies the set into a Workload.
-        (void)q.run(Workload::periodic(ts));
-      }
-      old_best = std::min(old_best, seconds_since(t0));
-    }
-    {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t it = 0; it < iters; ++it) {
-        (void)q.run(WorkloadView(ts));  // zero-copy
-      }
-      view_best = std::min(view_best, seconds_since(t0));
-    }
-  }
-  QueryRow row;
-  row.n = n;
-  row.old_ns = old_best * 1e9 / static_cast<double>(iters);
-  row.view_ns = view_best * 1e9 / static_cast<double>(iters);
-  row.speedup = row.old_ns / row.view_ns;
   return row;
 }
 
@@ -1444,12 +1379,12 @@ int main(int argc, char** argv) {
       const RemovalRow row =
           run_removal_cell(n, epsilon, setup.seed + 7 * n, setup.sets);
       removal.push_back(row);
-      std::printf("%-10s %6zu %6s %8zu %12.0fns %12.0fns %8.2fx\n",
-                  "removal", row.n, "-", row.checkpoints, row.eager_ns,
-                  row.tombstone_ns, row.speedup);
+      std::printf("%-10s %6zu %6s %8zu %14s %12.0fns (tombstoned)\n",
+                  "removal", row.n, "-", row.checkpoints, "-",
+                  row.tombstone_ns);
       setup.csv.row_of("removal", static_cast<long long>(n), 0.0,
-                       static_cast<long long>(row.checkpoints),
-                       row.eager_ns, row.tombstone_ns, row.speedup);
+                       static_cast<long long>(row.checkpoints), 0.0,
+                       row.tombstone_ns, 0.0);
     }
 
     // Concurrent reads: wait-free epoch headers vs the mutex path.
@@ -1463,19 +1398,6 @@ int main(int argc, char** argv) {
                   row.speedup);
       setup.csv.row_of("read", static_cast<long long>(row.readers), 0.0,
                        0LL, row.locked_qps, row.read_qps, row.speedup);
-    }
-
-    std::vector<QueryRow> queries;
-    for (const std::size_t n :
-         {std::size_t{10}, std::size_t{100}, std::size_t{1000}}) {
-      const QueryRow row =
-          run_query_cell(n, epsilon, setup.seed + 13 * n, setup.sets, quick);
-      queries.push_back(row);
-      std::printf("%-10s %6zu %6s %8zu %12.0fns %12.0fns %8.2fx\n", "query",
-                  n, "-", std::size_t{0}, row.old_ns, row.view_ns,
-                  row.speedup);
-      setup.csv.row_of("query", static_cast<long long>(n), 0.0, 0LL,
-                       row.old_ns, row.view_ns, row.speedup);
     }
 
     // Durability costs: snapshot save/load + journal append (reported,
@@ -1632,7 +1554,7 @@ int main(int argc, char** argv) {
 
     bench::JsonEmitter json;
     json.kv("bench", "perf_suite")
-        .kv("schema", 8LL)
+        .kv("schema", 9LL)
         .kv("seed", static_cast<long long>(setup.seed))
         .kv("quick", quick)
         .kv("epsilon", epsilon);
@@ -1671,9 +1593,7 @@ int main(int argc, char** argv) {
       json.begin_object()
           .kv("n", static_cast<long long>(row.n))
           .kv("checkpoints", static_cast<long long>(row.checkpoints))
-          .kv("eager_ns", row.eager_ns)
           .kv("tombstone_ns", row.tombstone_ns)
-          .kv("speedup", row.speedup)
           .end();
     }
     json.end();
@@ -1683,17 +1603,6 @@ int main(int argc, char** argv) {
           .kv("readers", static_cast<long long>(row.readers))
           .kv("locked_qps", row.locked_qps)
           .kv("read_qps", row.read_qps)
-          .kv("speedup", row.speedup)
-          .end();
-    }
-    json.end();
-    json.begin_array("query");
-    for (const QueryRow& row : queries) {
-      json.begin_object()
-          .kv("n", static_cast<long long>(row.n))
-          .kv("backend", "chakraborty")
-          .kv("old_ns_per_query", row.old_ns)
-          .kv("view_ns_per_query", row.view_ns)
           .kv("speedup", row.speedup)
           .end();
     }

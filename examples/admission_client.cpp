@@ -520,7 +520,7 @@ int run_replay(const ClientConfig& cfg) {
     }
   }
 
-  // Final-state differential: the server's wait-free header and stats
+  // Final-state differential: the server's store header and stats
   // against the twin's. Epoch is excluded — recovery (and the tenant's
   // own checkpoint cycles) restart epochs without changing state.
   net::NetRequest stats_req;

@@ -22,14 +22,11 @@ namespace {
 /// Rung-3 / verification analyses route through the unified query API
 /// with the backend's default parameters (certificates off: the
 /// controller keeps its own instrumentation and the hot path must not
-/// pay a construction sweep). The WorkloadView hands the resident set
-/// to the backend zero-copy.
+/// pay a construction sweep). Query::run hands the resident set to the
+/// backend without copying it.
 FeasibilityResult query_exact(const TaskSet& ts, TestKind kind) {
   if (ts.empty()) return make_verdict(Verdict::Feasible);
-  return Query::single(kind)
-      .with_certificates(false)
-      .run(WorkloadView(ts))
-      .analysis;
+  return Query::single(kind).with_certificates(false).run(ts).analysis;
 }
 
 /// Per-decision observability probe: collects rung-boundary timestamps
@@ -294,8 +291,7 @@ std::string AdmissionStats::to_json() const {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions opts)
-    : opts_(opts),
-      demand_(opts.epsilon, opts.use_slack_index, opts.eager_compaction) {
+    : opts_(opts), demand_(opts.epsilon, opts.use_slack_index) {
   if (!platform_valid(opts_.platform)) {
     throw std::invalid_argument("AdmissionController: invalid platform " +
                                 edfkit::to_string(opts_.platform));

@@ -108,11 +108,6 @@ struct AdmissionOptions {
   /// behavior (the perf_suite baseline); verdicts are identical either
   /// way.
   bool use_slack_index = true;
-  /// Compact the checkpoint store on every removal instead of
-  /// tombstoning emptied checkpoints (the pre-tombstone behavior, kept
-  /// selectable for the perf_suite removal baseline and differential
-  /// tests). Verdicts are identical either way.
-  bool eager_compaction = false;
   /// Attach a machine-checkable certificate (query/certificate.hpp) to
   /// every decision that proves something: a feasibility certificate on
   /// admits, an infeasibility certificate on proven rejects (policy and
@@ -247,10 +242,8 @@ class AdmissionController {
     return demand_.resident();
   }
 
-  /// Wait-free epoch-consistent snapshot of the demand store's
-  /// aggregates — safe to call concurrently with the one mutating
-  /// thread (the engine's wait-free stats path reads this without the
-  /// shard mutex).
+  /// The demand store's aggregates (IncrementalDemand::header()). Not
+  /// safe to call while another thread mutates the controller.
   [[nodiscard]] StoreHeader demand_header() const noexcept {
     return demand_.header();
   }

@@ -130,10 +130,8 @@ void accumulate(ScaledPair& dst, const ScaledPair& src, int sign) {
 
 }  // namespace
 
-IncrementalDemand::IncrementalDemand(double epsilon, bool use_slack_index,
-                                     bool eager_compaction)
+IncrementalDemand::IncrementalDemand(double epsilon, bool use_slack_index)
     : use_slack_index_(use_slack_index),
-      eager_compact_(eager_compaction),
       engage_at_(kIndexOnResidents),
       disengage_below_(kIndexOffResidents) {
   if (!(epsilon > 0.0) || epsilon > 1.0) {
@@ -144,7 +142,7 @@ IncrementalDemand::IncrementalDemand(double epsilon, bool use_slack_index,
   segs_.emplace_back();  // one segment covering [0, infinity)
   cert_x_.fill(0);
   cert_region_.fill(kS);  // the empty set is fully slack everywhere
-  publish_header();
+  bump_epoch();
 }
 
 void IncrementalDemand::set_index_thresholds(std::size_t engage_at,
@@ -186,10 +184,10 @@ std::size_t IncrementalDemand::segment_of(Time at) const noexcept {
 }
 
 Time IncrementalDemand::step_time_at(std::size_t idx) const noexcept {
-  // Live indexing keeps certificate cut anchors bit-identical between
-  // tombstoned and eagerly compacted stores (decision agreement depends
-  // on it); the dead-skip walk only runs for segments that hold
-  // tombstones, a few per check at most.
+  // Live indexing keeps certificate cut anchors independent of when
+  // tombstones are reclaimed (a store and its rebuild() decide alike);
+  // the dead-skip walk only runs for segments that hold tombstones, a
+  // few per check at most.
   for (const Segment& g : segs_) {
     const std::size_t live = g.steps.size() - g.dead;
     if (idx < live) {
@@ -499,8 +497,7 @@ void IncrementalDemand::apply_corners(const Task& t, Time from_level,
     } else {
       // Withdraw the contributions. An emptied checkpoint becomes a
       // tombstone (refs == 0, step == 0) — no memmove; reclamation is
-      // deferred until tombstones dominate the segment (or immediate
-      // under eager_compaction, the pre-tombstone baseline).
+      // deferred until tombstones dominate the segment.
       std::size_t newly_dead = 0;
       auto it = g.steps.begin();
       for (std::size_t c = c0; c < c1; ++c) {
@@ -514,9 +511,7 @@ void IncrementalDemand::apply_corners(const Task& t, Time from_level,
         total_steps_ -= newly_dead;
         g.dead += newly_dead;
         dead_steps_ += newly_dead;
-        if (eager_compact_ ||
-            (g.dead >= kMinDeadForCompact &&
-             g.dead * 4 >= g.steps.size())) {
+        if (g.dead >= kMinDeadForCompact && g.dead * 4 >= g.steps.size()) {
           compact_segment(g);
         }
       }
@@ -548,17 +543,12 @@ void IncrementalDemand::apply_border(const Task& t, Time level, int sign) {
       // Exact-inverse withdrawal zeroed slope/offset: the entry is a
       // harmless tombstone the scan absorbs as zero. Erasing it here
       // memmoves the border tail (O(n) per removal) — defer instead.
-      if (eager_compact_) {
-        g.borders.erase(bit);
-      } else {
-        ++g.dead_borders;
-        if (g.dead_borders >= kMinDeadForCompact &&
-            g.dead_borders * 4 >= g.borders.size()) {
-          std::erase_if(g.borders, [](const BorderEntry& e) {
-            return e.refs == 0;
-          });
-          g.dead_borders = 0;
-        }
+      ++g.dead_borders;
+      if (g.dead_borders >= kMinDeadForCompact &&
+          g.dead_borders * 4 >= g.borders.size()) {
+        std::erase_if(g.borders,
+                      [](const BorderEntry& e) { return e.refs == 0; });
+        g.dead_borders = 0;
       }
     }
   } else {
@@ -712,7 +702,7 @@ TaskId IncrementalDemand::add_one(const Task& t, bool adjust_slack) {
 
 TaskId IncrementalDemand::add(const Task& t) {
   const TaskId id = add_one(t, /*adjust_slack=*/true);
-  publish_header();
+  bump_epoch();
   return id;
 }
 
@@ -726,7 +716,7 @@ void IncrementalDemand::add_group(std::span<const Task> group,
   // One batched slack pass for the whole group (identical per-task
   // arithmetic, one walk of segment traffic).
   if (index_engaged_) slack_adjust(group, +1);
-  publish_header();
+  bump_epoch();
 }
 
 std::size_t IncrementalDemand::id_pos(TaskId id) const noexcept {
@@ -777,7 +767,7 @@ bool IncrementalDemand::remove_one(TaskId id, bool adjust_slack,
 
 bool IncrementalDemand::remove(TaskId id) {
   if (!remove_one(id, /*adjust_slack=*/true, nullptr)) return false;
-  publish_header();
+  bump_epoch();
   return true;
 }
 
@@ -790,7 +780,7 @@ std::size_t IncrementalDemand::remove_group(std::span<const TaskId> ids) {
   }
   if (gone != 0) {
     if (index_engaged_) slack_adjust(withdrawn, -1);
-    publish_header();
+    bump_epoch();
   }
   return gone;
 }
@@ -922,36 +912,17 @@ Rational IncrementalDemand::exact_demand_at(Time interval) const {
   return total;
 }
 
-void IncrementalDemand::publish_header() noexcept {
-  // The protocol (odd-epoch, fences, lap check) lives in
-  // util/seqlock.hpp; this only fills the named buffer.
-  header_epoch_.publish([&](std::size_t idx) {
-    HeaderSlot& h = header_buf_[idx];
-    h.residents.store(view_.size(), std::memory_order_relaxed);
-    h.constrained.store(constrained_, std::memory_order_relaxed);
-    h.live.store(total_steps_, std::memory_order_relaxed);
-    h.dead.store(dead_steps_, std::memory_order_relaxed);
-    h.segments.store(segs_.size(), std::memory_order_relaxed);
-    h.utilization.store(utilization_double(), std::memory_order_relaxed);
-    h.cert_ratio.store(
-        cert_lo_ < 0 ? -1.0 : static_cast<double>(cert_lo_) * kInvS,
-        std::memory_order_relaxed);
-  });
-}
-
 StoreHeader IncrementalDemand::header() const noexcept {
-  StoreHeader out;
-  out.epoch = header_epoch_.read([&](std::size_t idx) {
-    const HeaderSlot& h = header_buf_[idx];
-    out.residents = h.residents.load(std::memory_order_relaxed);
-    out.constrained = h.constrained.load(std::memory_order_relaxed);
-    out.live_checkpoints = h.live.load(std::memory_order_relaxed);
-    out.dead_checkpoints = h.dead.load(std::memory_order_relaxed);
-    out.segments = h.segments.load(std::memory_order_relaxed);
-    out.utilization = h.utilization.load(std::memory_order_relaxed);
-    out.cert_ratio = h.cert_ratio.load(std::memory_order_relaxed);
-  });
-  return out;
+  StoreHeader h;
+  h.epoch = epoch_;
+  h.residents = view_.size();
+  h.constrained = constrained_;
+  h.live_checkpoints = total_steps_;
+  h.dead_checkpoints = dead_steps_;
+  h.segments = segs_.size();
+  h.utilization = utilization_double();
+  h.cert_ratio = cert_lo_ < 0 ? -1.0 : static_cast<double>(cert_lo_) * kInvS;
+  return h;
 }
 
 DemandCheck IncrementalDemand::check() {
@@ -960,7 +931,7 @@ DemandCheck IncrementalDemand::check() {
 
 DemandCheck IncrementalDemand::check(std::uint64_t max_revisions) {
   const DemandCheck out = do_check(max_revisions);
-  publish_header();
+  bump_epoch();
   return out;
 }
 
@@ -1025,12 +996,12 @@ restart:
   // the segmented certificate: region j spans checkpoints in
   // [cuts[j], cuts[j+1]). Cut positions equidistribute the *live*
   // checkpoint count (tombstones excluded, so the cuts — and every
-  // decision derived from the certificate — are identical whether the
-  // store tombstones or compacts eagerly). Ratio interpolation (slack
-  // ratio of a segment interior is at least the smaller endpoint
-  // ratio) makes each region's min valid for every interval in it,
-  // provided the straddling segment's left endpoint is carried into
-  // the region entered — done at advance.
+  // decision derived from the certificate — do not depend on when
+  // tombstones are reclaimed). Ratio interpolation (slack ratio of a
+  // segment interior is at least the smaller endpoint ratio) makes
+  // each region's min valid for every interval in it, provided the
+  // straddling segment's left endpoint is carried into the region
+  // entered — done at advance.
   //
   // Past the last checkpoint L the demand is exactly U*I + K, so the
   // slack ratio 1 - U - K/I is increasing for K >= 0 (its minimum, at
@@ -1291,7 +1262,7 @@ void IncrementalDemand::rebuild() {
   for (std::size_t row = 0; row < rows.size(); ++row) {
     apply_entries(rows[row], levels_[row], +1);
   }
-  publish_header();
+  bump_epoch();
 }
 
 bool IncrementalDemand::matches_rebuild() const {

@@ -56,8 +56,8 @@
 /// compacts once its dead fraction crosses a threshold (amortized O(1)
 /// per removal), and resegmentation drops all tombstones wholesale. A
 /// re-arriving checkpoint time resurrects its tombstone in place.
-/// `eager_compaction` restores the erase-on-remove behavior
-/// byte-for-byte (the bench baseline and differential-fuzz twin).
+/// rebuild() is the tombstone-free reference: it rebuilds the store
+/// from its rows at their levels.
 ///
 /// Slack certificate (the O(1) fast path): a clean passing scan also
 /// certifies theta = min_I (I - dbf'(I))/I, the minimum fractional
@@ -93,16 +93,12 @@
 /// bounds are maintained, and every scan walks end to end — byte-for-
 /// byte the pre-index behavior.
 ///
-/// Epoch-versioned store header (the lock-free read path): mutators
-/// publish a small aggregate header (resident/checkpoint counts,
-/// utilization, certificate ratio) into a double-buffered pair of
-/// atomic slots under a seqlock epoch (odd while a publication is
-/// between its stores). `header()` reads the slot the epoch names and
-/// re-checks the epoch: a reader overlapping one whole publication
-/// still returns without re-copying (that publication fills the
-/// *other* slot); it only spins across the writer's brief store window
-/// or when lapped mid-copy — and never blocks the writer. This is what
-/// lets AdmissionEngine::stats() run without taking shard mutexes.
+/// Store header: header() assembles a small aggregate (resident and
+/// checkpoint counts, utilization, certificate ratio) from the members
+/// the store already keeps, stamped with an epoch. The epoch rises by 2
+/// at construction and at every add, add_group, check and rebuild, every
+/// remove or remove_group that withdrew a task, and every snapshot load
+/// or reset (admission/snapshot.cpp). STATS carries it on the wire.
 ///
 /// GFB density aggregate (the global mode's O(1) accept): next to the
 /// utilization bounds the store keeps certified bounds on the density
@@ -112,8 +108,7 @@
 /// aggregate; the max goes stale when a max-density resident departs
 /// and the next density_bounds() rescans in O(n), as d_max_ does. The
 /// aggregate is derived state: snapshots do not carry it, the loader
-/// recomputes it from the rows, and it publishes nothing new into the
-/// header.
+/// recomputes it from the rows, and the header does not report it.
 ///
 /// Residents live in a TaskView (demand/task_view.hpp): densely packed
 /// structure-of-arrays rows behind stable slots, so the refinement loop
@@ -123,7 +118,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -134,7 +128,6 @@
 #include "model/task_set.hpp"
 #include "util/fixedpoint.hpp"
 #include "util/rational.hpp"
-#include "util/seqlock.hpp"
 
 namespace edfkit {
 
@@ -171,10 +164,9 @@ struct DemandCheck {
   std::uint64_t segments_fast_forwarded = 0;
 };
 
-/// Wait-free aggregate snapshot of the store (see header()). All fields
-/// come from one epoch-consistent publication.
+/// Aggregate view of the store (see header()).
 struct StoreHeader {
-  std::uint64_t epoch = 0;            ///< publication count
+  std::uint64_t epoch = 0;            ///< see the file comment
   std::uint64_t residents = 0;
   std::uint64_t constrained = 0;
   std::uint64_t live_checkpoints = 0;
@@ -185,9 +177,7 @@ struct StoreHeader {
 };
 
 /// Mutable task multiset + approximated demand checkpoints.
-/// Not thread-safe for mutation; AdmissionEngine shards and locks
-/// around it. header() alone is safe to call concurrently with one
-/// mutator (the wait-free read path).
+/// Not thread-safe; AdmissionEngine shards and locks around it.
 class IncrementalDemand {
  public:
   /// \pre 0 < epsilon <= 1. Initial steps per task: k = ceil(1/epsilon).
@@ -195,12 +185,8 @@ class IncrementalDemand {
   /// scan walks the full checkpoint array (the pre-index behavior, kept
   /// selectable as the bench baseline — see bench/perf_suite.cpp). On,
   /// the index engages adaptively by resident count (see file header).
-  /// `eager_compaction` erases emptied checkpoints on every removal
-  /// instead of tombstoning them (the pre-tombstone behavior, kept
-  /// selectable for the bench baseline and differential tests).
   explicit IncrementalDemand(double epsilon = 0.25,
-                             bool use_slack_index = true,
-                             bool eager_compaction = false);
+                             bool use_slack_index = true);
 
   /// Insert a task at level k; O(k log n + move). \throws
   /// std::invalid_argument (validate()).
@@ -213,9 +199,8 @@ class IncrementalDemand {
   /// Insert a whole group, appending the new ids to `ids` in group
   /// order. Equivalent to add() per task but amortizes the per-update
   /// overhead across the group: one cached-slack maintenance pass over
-  /// the segments (instead of one per task) and one header
-  /// publication. \throws std::invalid_argument (validate()) before
-  /// any mutation.
+  /// the segments (instead of one per task) and one epoch step.
+  /// \throws std::invalid_argument (validate()) before any mutation.
   void add_group(std::span<const Task> group, std::vector<TaskId>& ids);
   /// Withdraw a group of resident ids (unknown ids are skipped), with
   /// the same amortization as add_group — the group-admission rollback
@@ -251,15 +236,6 @@ class IncrementalDemand {
   [[nodiscard]] std::size_t dead_checkpoints() const noexcept {
     return dead_steps_;
   }
-  [[nodiscard]] bool eager_compaction() const noexcept {
-    return eager_compact_;
-  }
-  /// True while the cached-slack index is maintaining per-segment
-  /// bounds (use_slack_index on and the resident count is above the
-  /// engagement hysteresis).
-  [[nodiscard]] bool slack_index_engaged() const noexcept {
-    return index_engaged_;
-  }
   /// Override the index-engagement hysteresis (tests/bench: 0, 0
   /// engages unconditionally). \pre disengage_below <= engage_at.
   void set_index_thresholds(std::size_t engage_at,
@@ -276,9 +252,6 @@ class IncrementalDemand {
   /// Same contract as analysis/utilization.hpp, evaluated in O(1) from
   /// the incrementally maintained certified bounds.
   [[nodiscard]] UtilizationClass utilization_class() const noexcept;
-  [[nodiscard]] bool exceeds_one() const noexcept {
-    return utilization_class() == UtilizationClass::AboveOne;
-  }
   /// Classification after a hypothetical add(t), without mutating. O(1).
   [[nodiscard]] UtilizationClass utilization_class_with(const Task& t) const;
   /// Classification after hypothetically adding every task of `group`,
@@ -328,8 +301,7 @@ class IncrementalDemand {
   [[nodiscard]] DemandCheck check();  ///< default budget 64 + 8n
   [[nodiscard]] DemandCheck check(std::uint64_t max_revisions);
 
-  /// Wait-free epoch-consistent aggregate snapshot; safe to call
-  /// concurrently with one mutating thread (see file header).
+  /// The store's aggregates, read from its members (see file header).
   [[nodiscard]] StoreHeader header() const noexcept;
 
   /// Exact (integer) demand bound function of the resident set at one
@@ -417,19 +389,6 @@ class IncrementalDemand {
     std::size_t dead_borders = 0;      ///< tombstones inside borders
   };
 
-  /// One buffer of the double-buffered published header. Plain atomics
-  /// so concurrent reads are data-race-free; the epoch protocol makes
-  /// them *consistent* (see header()).
-  struct HeaderSlot {
-    std::atomic<std::uint64_t> residents{0};
-    std::atomic<std::uint64_t> constrained{0};
-    std::atomic<std::uint64_t> live{0};
-    std::atomic<std::uint64_t> dead{0};
-    std::atomic<std::uint64_t> segments{0};
-    std::atomic<double> utilization{0.0};
-    std::atomic<double> cert_ratio{-1.0};
-  };
-
   /// Add/withdraw the step corners of jobs [from_level, to_level) of t.
   void apply_corners(const Task& t, Time from_level, Time to_level,
                      int sign);
@@ -445,9 +404,9 @@ class IncrementalDemand {
   /// Recompute the whole density aggregate from the resident rows in one
   /// O(n) pass (the snapshot loader: the aggregate is not serialized).
   void rederive_density();
-  /// add() body minus slack maintenance and header publication.
+  /// add() body minus slack maintenance and the epoch step.
   TaskId add_one(const Task& t, bool adjust_slack);
-  /// remove() body minus slack maintenance and header publication; the
+  /// remove() body minus slack maintenance and the epoch step; the
   /// withdrawn task is appended to `withdrawn` (for the batched slack
   /// credit). \returns false for unknown ids.
   bool remove_one(TaskId id, bool adjust_slack,
@@ -462,8 +421,8 @@ class IncrementalDemand {
 
   [[nodiscard]] std::size_t segment_of(Time at) const noexcept;
   /// Time of the idx-th *live* checkpoint across segments (tombstones
-  /// excluded, so cut anchors are identical between tombstoned and
-  /// eagerly compacted stores). \pre idx < total_steps_
+  /// excluded, so cut anchors do not depend on when tombstones are
+  /// reclaimed). \pre idx < total_steps_
   [[nodiscard]] Time step_time_at(std::size_t idx) const noexcept;
   /// A genuinely new checkpoint time appeared in segment `seg`: bound
   /// its ratio through its existing neighbors (segment interiors have
@@ -486,14 +445,12 @@ class IncrementalDemand {
   /// disengage, dirty every cached bound (nothing maintains them while
   /// off).
   void update_index_engagement();
-  /// Publish the current aggregates into the inactive header buffer and
-  /// advance the epoch (every mutator's last step).
-  void publish_header() noexcept;
+  /// Advance the header epoch by 2 (every mutating call's last step).
+  void bump_epoch() noexcept { epoch_ += 2; }
   [[nodiscard]] DemandCheck do_check(std::uint64_t max_revisions);
 
   Time k_;
   bool use_slack_index_;
-  bool eager_compact_;
   /// Hysteresis state of the cached-slack index (see file header).
   bool index_engaged_ = false;
   std::size_t engage_at_;
@@ -558,10 +515,8 @@ class IncrementalDemand {
   std::size_t constrained_ = 0;
   /// Deferred-compaction pass count (see compactions()).
   std::uint64_t compactions_ = 0;
-  /// Double-buffered published header + seqlock epoch (see header()
-  /// and util/seqlock.hpp for the protocol).
-  std::array<HeaderSlot, 2> header_buf_;
-  SeqlockEpoch header_epoch_;
+  /// StoreHeader::epoch (see bump_epoch()).
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace edfkit

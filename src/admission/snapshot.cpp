@@ -20,6 +20,11 @@ constexpr std::uint32_t kSecShard = 4;
 /// Images written before per-shard journals lack it.
 constexpr std::uint32_t kSecShardLsns = 5;
 
+/// The smallest encodings, for checking counts read from an image
+/// before anything is sized by them (ByteReader::checked_count).
+constexpr std::size_t kMinTaskBytes = 4 * 8 + 4;  ///< four i64 + str
+constexpr std::size_t kPairBytes = 2 * 16;        ///< encode_pair
+
 void encode_task(ByteWriter& w, const Task& t) {
   w.i64(t.wcet);
   w.i64(t.deadline);
@@ -63,15 +68,16 @@ void encode_meta(persist::SectionWriter& sw, SnapshotKind kind,
   w.u64(lsn);
 }
 
-/// Format v2 carried AdmissionOptions fields that v3 dropped. A v2
-/// image loads only while each holds its old default — the value v3
-/// behaves as — and is refused otherwise rather than decided
-/// differently from the run that wrote it.
-void expect_v2_default(bool is_default, const char* field) {
+/// Options the library dropped can keep their bytes in the format: v2
+/// carries the AdmissionOptions fields v3 dropped, and v3 still holds
+/// the two eager_compaction bytes, written as 0. An image loads only
+/// while each holds its old default — the value this library behaves
+/// as — and is refused otherwise rather than decided differently from
+/// the run that wrote it.
+void expect_dropped_default(bool is_default, const char* field) {
   if (!is_default) {
     throw PersistError(PersistErrc::BadValue,
-                       std::string("v2 snapshot sets dropped option ") +
-                           field);
+                       std::string("snapshot sets dropped option ") + field);
   }
 }
 
@@ -81,18 +87,24 @@ void decode_v2_analyzer(ByteReader& r) {
   const DynamicTestOptions dyn;
   const AllApproxOptions aa;
   const ProcessorDemandOptions pd;
-  expect_v2_default(r.i64() == SuperPosParams{}.level, "superpos_level");
-  expect_v2_default(r.f64() == ChakrabortyParams{}.epsilon,
-                    "analyzer epsilon");
-  expect_v2_default(r.i64() == dyn.initial_level, "dynamic.initial_level");
-  expect_v2_default(r.i64() == dyn.growth_factor, "dynamic.growth_factor");
-  expect_v2_default(r.i64() == dyn.max_level, "dynamic.max_level");
-  expect_v2_default(decode_optional_time(r) == dyn.bound, "dynamic.bound");
-  expect_v2_default(decode_optional_time(r) == aa.bound, "all_approx.bound");
-  expect_v2_default(r.u8() == static_cast<std::uint8_t>(aa.revision),
-                    "all_approx.revision");
-  expect_v2_default(r.boolean() == pd.use_busy_period, "pd_use_busy_period");
-  expect_v2_default(r.u64() == pd.max_iterations, "pd_max_iterations");
+  expect_dropped_default(r.i64() == SuperPosParams{}.level,
+                         "superpos_level");
+  expect_dropped_default(r.f64() == ChakrabortyParams{}.epsilon,
+                         "analyzer epsilon");
+  expect_dropped_default(r.i64() == dyn.initial_level,
+                         "dynamic.initial_level");
+  expect_dropped_default(r.i64() == dyn.growth_factor,
+                         "dynamic.growth_factor");
+  expect_dropped_default(r.i64() == dyn.max_level, "dynamic.max_level");
+  expect_dropped_default(decode_optional_time(r) == dyn.bound,
+                         "dynamic.bound");
+  expect_dropped_default(decode_optional_time(r) == aa.bound,
+                         "all_approx.bound");
+  expect_dropped_default(r.u8() == static_cast<std::uint8_t>(aa.revision),
+                         "all_approx.revision");
+  expect_dropped_default(r.boolean() == pd.use_busy_period,
+                         "pd_use_busy_period");
+  expect_dropped_default(r.u64() == pd.max_iterations, "pd_max_iterations");
 }
 
 SnapshotMeta decode_meta(const persist::SectionReader& sr,
@@ -139,20 +151,18 @@ Record decode_record(std::span<const std::uint8_t> payload) {
       rec.task = decode_task(r);
       break;
     case JournalOp::AdmitGroup: {
-      const std::uint32_t n = r.u32();
+      const std::size_t n = r.checked_count(r.u32(), kMinTaskBytes);
       rec.group.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        rec.group.push_back(decode_task(r));
-      }
+      for (std::size_t i = 0; i < n; ++i) rec.group.push_back(decode_task(r));
       break;
     }
     case JournalOp::Remove:
       rec.id = r.u64();
       break;
     case JournalOp::RemoveGroup: {
-      const std::uint32_t n = r.u32();
+      const std::size_t n = r.checked_count(r.u32(), 8);
       rec.ids.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
+      for (std::size_t i = 0; i < n; ++i) rec.ids.push_back(r.u64());
       break;
     }
     case JournalOp::ClientMark:
@@ -251,14 +261,14 @@ std::vector<std::uint8_t> client_mark(const std::string& client,
 /// member the decision paths read is written out and restored verbatim
 /// — this is what makes a loaded store bit-identical to the live one.
 /// Transient scratch (corner buffer, the lazily materialized exact
-/// rational) is reset instead, and the epoch header is re-published
-/// rather than restored (epoch counts publications of *this process*;
+/// rational) is reset instead, and the header epoch steps on rather
+/// than being restored (it counts mutating calls of *this process*;
 /// readers compare header fields, not epochs, across restarts).
 struct SnapshotCodec {
   static void encode_demand(const IncrementalDemand& d, ByteWriter& w) {
     w.i64(d.k_);
     w.boolean(d.use_slack_index_);
-    w.boolean(d.eager_compact_);
+    w.boolean(false);  // eager_compaction (dropped)
     w.boolean(d.index_engaged_);
     w.u64(d.engage_at_);
     w.u64(d.disengage_below_);
@@ -330,13 +340,14 @@ struct SnapshotCodec {
       throw PersistError(PersistErrc::BadValue, "k < 1");
     }
     d.use_slack_index_ = r.boolean();
-    d.eager_compact_ = r.boolean();
+    expect_dropped_default(!r.boolean(), "eager_compaction");
     d.index_engaged_ = r.boolean();
     d.engage_at_ = r.u64();
     d.disengage_below_ = r.u64();
     d.next_id_ = r.u64();
 
-    const std::uint64_t n = r.u64();
+    // Each row: its task, level and border.
+    const std::size_t n = r.checked_count(r.u64(), kMinTaskBytes + 16);
     d.view_ = TaskView{};
     d.view_.reserve(n);
     for (std::uint64_t row = 0; row < n; ++row) {
@@ -354,7 +365,7 @@ struct SnapshotCodec {
       d.borders_of_row_[row] = r.i64();
     }
 
-    const std::uint64_t index_n = r.u64();
+    const std::size_t index_n = r.checked_count(r.u64(), 8 + 4);
     d.id_index_.clear();
     d.id_index_.reserve(index_n);
     std::vector<std::uint8_t> row_seen(n, 0);
@@ -380,7 +391,9 @@ struct SnapshotCodec {
     }
     d.dead_ids_ = r.u64();
 
-    const std::uint64_t seg_n = r.u64();
+    // Each segment: three i64, two pairs, the ratio and four counts.
+    const std::size_t seg_n =
+        r.checked_count(r.u64(), 3 * 8 + 2 * kPairBytes + 5 * 8);
     if (seg_n == 0) {
       throw PersistError(PersistErrc::BadValue, "no segments");
     }
@@ -394,15 +407,13 @@ struct SnapshotCodec {
       g.min_ratio = r.f64();
       g.dead = r.u64();
       g.dead_borders = r.u64();
-      const std::uint64_t steps_n = r.u64();
-      g.steps.resize(steps_n);
+      g.steps.resize(r.checked_count(r.u64(), 3 * 8));
       for (IncrementalDemand::StepEntry& e : g.steps) {
         e.at = r.i64();
         e.step = r.i64();
         e.refs = r.i64();
       }
-      const std::uint64_t borders_n = r.u64();
-      g.borders.resize(borders_n);
+      g.borders.resize(r.checked_count(r.u64(), 2 * 8 + 2 * kPairBytes));
       for (IncrementalDemand::BorderEntry& e : g.borders) {
         e.at = r.i64();
         e.refs = r.i64();
@@ -431,7 +442,7 @@ struct SnapshotCodec {
     d.util_ = Rational{};
     d.util_valid_ = false;
     d.rederive_density();
-    d.publish_header();
+    d.bump_epoch();
   }
 
   static void encode_controller(const AdmissionController& c,
@@ -442,7 +453,7 @@ struct SnapshotCodec {
     w.f64(o.utilization_cap);
     w.boolean(o.skip_exact);
     w.boolean(o.use_slack_index);
-    w.boolean(o.eager_compaction);
+    w.boolean(false);  // eager_compaction (dropped)
     w.boolean(o.return_certificate);
     w.u32(o.platform.m);
 
@@ -459,8 +470,8 @@ struct SnapshotCodec {
     encode_demand(c.demand_, w);
   }
 
-  /// `version` is the container's format version (v2 carries the
-  /// dropped option fields, which must hold their old defaults).
+  /// `version` is the container's format version (v2 carries more
+  /// dropped option fields; all must hold their old defaults).
   static void decode_controller(AdmissionController& c, ByteReader& r,
                                 std::uint32_t version) {
     const bool v2 = version == 2;
@@ -473,11 +484,11 @@ struct SnapshotCodec {
     o.exact_fallback = static_cast<TestKind>(kind);
     if (v2) decode_v2_analyzer(r);
     o.utilization_cap = r.f64();
-    if (v2) expect_v2_default(r.u64() == 0, "max_tasks");
+    if (v2) expect_dropped_default(r.u64() == 0, "max_tasks");
     o.skip_exact = r.boolean();
     o.use_slack_index = r.boolean();
-    o.eager_compaction = r.boolean();
-    if (v2) expect_v2_default(!r.boolean(), "rollback_refinements");
+    expect_dropped_default(!r.boolean(), "eager_compaction");
+    if (v2) expect_dropped_default(!r.boolean(), "rollback_refinements");
     o.return_certificate = r.boolean();
     o.platform.m = r.u32();
     if (!platform_valid(o.platform)) {
@@ -559,6 +570,11 @@ struct SnapshotCodec {
         placement > static_cast<std::uint8_t>(PlacementPolicy::BestFit)) {
       throw PersistError(PersistErrc::BadValue, "engine options");
     }
+    // Every shard has a section of its own: a larger count is corrupt,
+    // and must not size the reservation below.
+    if (shards > sr.ids().size()) {
+      throw PersistError(PersistErrc::BadValue, "shard count");
+    }
     std::vector<std::unique_ptr<AdmissionEngine::Shard>> fresh;
     fresh.reserve(shards);
     const std::vector<std::uint32_t>& ids = sr.ids();
@@ -598,7 +614,7 @@ struct SnapshotCodec {
   }
 
   /// Return the store to its freshly-constructed state (configuration
-  /// — epsilon, index/compaction flags, thresholds — kept). Cold
+  /// — epsilon, the index flag, thresholds — kept). Cold
   /// journal replay starts from here: replaying records into a
   /// controller that still holds state would double-apply every one.
   static void reset_demand(IncrementalDemand& d) {
@@ -626,7 +642,7 @@ struct SnapshotCodec {
     d.cert_lo_ = kFixedPointScale;
     d.cert_dead_ = false;
     d.constrained_ = 0;
-    d.publish_header();
+    d.bump_epoch();
   }
 
   static void reset_controller(AdmissionController& c) {

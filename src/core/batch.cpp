@@ -55,8 +55,7 @@ BatchReport run_batch(const std::vector<BatchEntry>& entries,
 
     std::vector<BackendAttempt> attempts;
     if (!entry.tasks.empty()) {
-      attempts =
-          batch_query.run(Workload::periodic(entry.tasks)).attempts;
+      attempts = batch_query.run(entry.tasks).attempts;
       if (attempts.size() != report.tests.size()) {
         throw std::logic_error(
             "run_batch: a backend was skipped; columns would misalign");

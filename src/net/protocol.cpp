@@ -31,6 +31,10 @@ void encode_task(ByteWriter& w, const Task& t) {
   w.str(t.name);
 }
 
+/// Smallest task encoding (four i64 + a length-prefixed name): the
+/// per-element floor for checking group counts.
+constexpr std::size_t kMinTaskBytes = 4 * 8 + 4;
+
 Task decode_task(ByteReader& r) {
   Task t;
   t.wcet = r.i64();
@@ -60,9 +64,9 @@ Certificate decode_certificate(ByteReader& r) {
   c.kind = static_cast<CertificateKind>(r.u8());
   c.witness = r.i64();
   c.bound = r.i64();
-  const std::uint32_t n = r.u32();
+  const std::size_t n = r.checked_count(r.u32(), 8);
   c.borders.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) c.borders.push_back(r.i64());
+  for (std::size_t i = 0; i < n; ++i) c.borders.push_back(r.i64());
   if (r.remaining() >= 5) {  // v2: processors u32 + multi_test u8
     c.processors = r.u32();
     c.multi_test = static_cast<MultiTest>(r.u8());
@@ -204,24 +208,19 @@ NetRequest decode_request(std::span<const std::uint8_t> payload) {
       out.task = decode_task(r);
       break;
     case NetOp::AdmitGroup: {
-      const std::uint32_t n = r.u32();
-      // A length prefix past the payload is a short body, not an OOM:
-      // each task is >= 36 bytes, so cap by what could possibly fit.
-      if (n > payload.size() / 4) throw std::out_of_range("group count");
+      // A length prefix past the payload is a short body, not an OOM.
+      const std::size_t n = r.checked_count(r.u32(), kMinTaskBytes);
       out.group.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        out.group.push_back(decode_task(r));
-      }
+      for (std::size_t i = 0; i < n; ++i) out.group.push_back(decode_task(r));
       break;
     }
     case NetOp::Remove:
       out.id = r.u64();
       break;
     case NetOp::RemoveGroup: {
-      const std::uint32_t n = r.u32();
-      if (n > payload.size() / 8) throw std::out_of_range("id count");
+      const std::size_t n = r.checked_count(r.u32(), 8);
       out.ids.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) out.ids.push_back(r.u64());
+      for (std::size_t i = 0; i < n; ++i) out.ids.push_back(r.u64());
       break;
     }
     case NetOp::ReplHello:
@@ -232,11 +231,10 @@ NetRequest decode_request(std::span<const std::uint8_t> payload) {
     case NetOp::ReplAppend: {
       out.tenant = r.str();
       out.repl_lsn = r.u64();
-      const std::uint32_t n = r.u32();
       // Each record frame is at least 4 bytes (its length prefix).
-      if (n > payload.size() / 4) throw std::out_of_range("record count");
+      const std::size_t n = r.checked_count(r.u32(), 4);
       out.repl_records.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         out.repl_records.push_back(r.blob());
       }
       out.digest_lsn = r.u64();
@@ -361,10 +359,9 @@ NetResponse decode_response(std::span<const std::uint8_t> payload) {
       }
       break;
     case NetOp::AdmitGroup: {
-      const std::uint32_t n = r.u32();
-      if (n > payload.size() / 8) throw std::out_of_range("id count");
+      const std::size_t n = r.checked_count(r.u32(), 8);
       out.ids.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) out.ids.push_back(r.u64());
+      for (std::size_t i = 0; i < n; ++i) out.ids.push_back(r.u64());
       out.rung = r.u8();
       out.verdict = r.u8();
       if ((out.hdr.flags & kFlagHasCertificate) != 0) {

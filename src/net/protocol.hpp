@@ -30,8 +30,8 @@
 /// processors, selecting global admission mode when > 1; every other
 /// op requires a prior HELLO on the same connection. ADMIT/ADMIT_GROUP/REMOVE/REMOVE_GROUP map 1:1 onto the
 /// AdmissionController entry points (admission/controller.hpp), STATS
-/// returns the tenant's wait-free StoreHeader plus its running
-/// counters, PING is a framing no-op.
+/// returns the tenant's StoreHeader (admission/incremental_dbf.hpp)
+/// plus its running counters, PING is a framing no-op.
 ///
 /// Responses carry typed status codes: Ok vs Rejected separates "the
 /// admission test said no" (a normal, certified outcome) from protocol

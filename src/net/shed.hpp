@@ -9,9 +9,10 @@
 ///     the only expensive work on the loop; a deep queue means arrival
 ///     rate is outrunning decision throughput and latency is about to
 ///     compound.
-///   * the tenant's StoreHeader — the wait-free epoch-consistent
-///     aggregate snapshot (admission/incremental_dbf.hpp header()):
-///     resident count and the certified utilization upper bound. Past
+///   * the tenant's StoreHeader — the demand store's aggregates
+///     (admission/incremental_dbf.hpp header()), read on the loop
+///     thread that mutates the tenant: resident count and the
+///     certified utilization upper bound. Past
 ///     a configured headroom the ladder would almost certainly run its
 ///     expensive rungs just to reject; shedding there converts a slow
 ///     certain-reject into a fast retryable one.
@@ -54,7 +55,7 @@ class ShedPolicy {
 
   /// Should this request be shed? `pending` is the depth of the
   /// current tick's decoded-request queue; `header` the tenant's
-  /// wait-free store header; `processors` the tenant's platform m.
+  /// store header; `processors` the tenant's platform m.
   [[nodiscard]] bool should_shed(NetOp op, std::size_t pending,
                                  const StoreHeader& header,
                                  std::uint32_t processors) const noexcept;

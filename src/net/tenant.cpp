@@ -373,8 +373,7 @@ void Tenant::save_dedup(std::uint64_t lsn) const {
     body.u32(static_cast<std::uint32_t>(s.window.size()));
     for (const auto& [id, bytes] : s.window) {
       body.u64(id);
-      body.u32(static_cast<std::uint32_t>(bytes.size()));
-      body.bytes(bytes.data(), bytes.size());
+      body.blob(bytes);
     }
   }
   sw.finish(dedup_path_);
@@ -399,11 +398,7 @@ void Tenant::load_dedup_bytes(std::vector<std::uint8_t> bytes) {
       const std::uint32_t entries = r.u32();
       for (std::uint32_t k = 0; k < entries; ++k) {
         const std::uint64_t id = r.u64();
-        const std::uint32_t len = r.u32();
-        std::vector<std::uint8_t> bytes;
-        bytes.reserve(len);
-        for (std::uint32_t b = 0; b < len; ++b) bytes.push_back(r.u8());
-        s.window.emplace_back(id, std::move(bytes));
+        s.window.emplace_back(id, r.blob());
       }
       sessions_.emplace(client, std::move(s));
     }

@@ -169,8 +169,8 @@ SectionReader::SectionReader(std::vector<std::uint8_t> bytes)
       const std::uint32_t id = h.u32();
       const std::uint64_t len = h.u64();
       const std::uint32_t crc = h.u32();
-      const std::size_t payload = off + 16;
-      if (payload + len > bytes_.size()) {
+      const std::size_t payload = off + 16;  // <= size: h read 16 bytes
+      if (len > bytes_.size() - payload) {  // payload + len could wrap
         throw PersistError(PersistErrc::Truncated,
                            "section " + std::to_string(id) +
                                " extends past end of file");

@@ -2,7 +2,7 @@
 /// The versioned public surface of edfkit's analysis service. Include
 /// this one header to get everything an external caller needs:
 ///
-///   - `Workload` / `WorkloadView`         (query/workload.hpp)
+///   - `Workload`                          (query/workload.hpp)
 ///   - `Platform`                          (model/platform.hpp)
 ///   - `Query`, `QueryOptions`, `Outcome`  (query/query.hpp)
 ///   - typed per-backend parameters        (query/options.hpp)
@@ -19,7 +19,10 @@
 /// flags, the global-EDF cascade (`Query::cascade`), and the
 /// multiprocessor certificate forms. Uniprocessor callers are
 /// source-compatible: `Platform` defaults to m == 1 and every version-1
-/// construct keeps its meaning.
+/// construct keeps its meaning. Version 3 removed `WorkloadView` and the
+/// overlay `Query::run(base, extra)`: `run(const TaskSet&)` and
+/// `run(const Workload&)` hand their tasks to the backends without a
+/// copy.
 ///
 /// Typical use:
 ///
@@ -37,7 +40,7 @@
 ///   }
 #pragma once
 
-#define EDFKIT_API_VERSION 2
+#define EDFKIT_API_VERSION 3
 
 #include "model/platform.hpp"
 #include "model/task_set.hpp"

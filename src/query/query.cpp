@@ -180,27 +180,24 @@ void Query::validate() const {
   }
 }
 
-Outcome Query::run(const Workload& w) const { return run(WorkloadView(w)); }
-
-Outcome Query::run(const WorkloadView& w) const {
+Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
   validate();
-  if (w.empty()) {
+  if (ts.empty()) {
     throw std::invalid_argument(
         "Query: zero-task workload (a degenerate scan would decide "
         "nothing; construct a non-empty workload)");
   }
   const BackendRegistry& reg = BackendRegistry::instance();
-  const TaskSet& ts = w.tasks();
 
   Outcome out;
   std::vector<const BackendSelection*> runnable;
   for (const BackendSelection& sel : backends_) {
     const BackendInfo* info = reg.find(sel.kind);
-    if (!info->supports(w.kind())) {
+    if (!info->supports(kind)) {
       if (policy_ == ExecPolicy::Single) {
         throw std::invalid_argument(
             std::string("Query: backend '") + info->name +
-            "' does not support " + edfkit::to_string(w.kind()) +
+            "' does not support " + edfkit::to_string(kind) +
             " workloads");
       }
       out.skipped.push_back(sel.kind);

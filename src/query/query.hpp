@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -154,32 +153,25 @@ class Query {
   /// unsupported/ambiguous selection.
   void validate() const;
 
-  /// Execute against `w`. \throws std::invalid_argument on validation
+  /// Execute against `w` (its canonical sporadic form, see
+  /// workload.hpp). \throws std::invalid_argument on validation
   /// failure, an empty (zero-task) workload, or when no selected backend
   /// supports the workload's kind.
-  [[nodiscard]] Outcome run(const Workload& w) const;
-
-  /// Zero-copy execution against a non-owning view — the hot-path entry
-  /// point (the admission ladder's exact rung, the bench harness):
-  /// `q.run(WorkloadView(ts))` hands `ts` to the backends without ever
-  /// copying it into a Workload. Same contract as run(const Workload&).
-  [[nodiscard]] Outcome run(const WorkloadView& w) const;
-
-  /// Convenience for the common migration case: runs zero-copy through a
-  /// view (a plain TaskSet argument used to copy into a Workload).
-  [[nodiscard]] Outcome run(const TaskSet& ts) const {
-    return run(WorkloadView(ts));
+  [[nodiscard]] Outcome run(const Workload& w) const {
+    return execute(w.kind(), w.tasks());
   }
 
-  /// Group-admission overlay: analyze `base` plus a candidate `extra`
-  /// group as one workload without mutating either (the combined set
-  /// materializes at most once, inside the view).
-  [[nodiscard]] Outcome run(const TaskSet& base,
-                            std::span<const Task> extra) const {
-    return run(WorkloadView(base, extra));
+  /// Execute against a periodic task set. Same contract as
+  /// run(const Workload&); neither overload copies the tasks.
+  [[nodiscard]] Outcome run(const TaskSet& ts) const {
+    return execute(WorkloadKind::PeriodicTasks, ts);
   }
 
  private:
+  /// The body of both run() overloads: `ts` is the workload's canonical
+  /// form and `kind` selects the backends that support it.
+  [[nodiscard]] Outcome execute(WorkloadKind kind, const TaskSet& ts) const;
+
   std::vector<BackendSelection> backends_;
   ExecPolicy policy_ = ExecPolicy::Batch;
   ResourceLimits limits_;

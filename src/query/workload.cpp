@@ -91,34 +91,4 @@ std::string Workload::to_string() const {
   return os.str();
 }
 
-bool WorkloadView::empty() const noexcept { return source_size() == 0; }
-
-std::size_t WorkloadView::source_size() const noexcept {
-  if (workload_ != nullptr) return workload_->source_size();
-  if (set_ != nullptr) return set_->size();
-  return (base_ != nullptr ? base_->size() : 0) + span_.size();
-}
-
-const TaskSet& WorkloadView::tasks() const {
-  if (workload_ != nullptr) return workload_->tasks();
-  if (set_ != nullptr) return *set_;
-  std::call_once(once_, [&] {
-    std::vector<Task> all;
-    all.reserve((base_ != nullptr ? base_->size() : 0) + span_.size());
-    if (base_ != nullptr) {
-      all.insert(all.end(), base_->begin(), base_->end());
-    }
-    all.insert(all.end(), span_.begin(), span_.end());
-    materialized_ = TaskSet(std::move(all));
-  });
-  return materialized_;
-}
-
-std::string WorkloadView::to_string() const {
-  if (workload_ != nullptr) return workload_->to_string();
-  std::ostringstream os;
-  os << "tasks(n=" << source_size() << ", view)";
-  return os.str();
-}
-
 }  // namespace edfkit

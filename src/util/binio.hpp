@@ -131,6 +131,19 @@ class ByteReader {
     return std::vector<std::uint8_t>(b.begin(), b.end());
   }
 
+  /// `n`, an element count read from the buffer, once `n` elements of
+  /// at least `min_bytes` each are known to fit in what is left. Check
+  /// every count before sizing an allocation by it: a corrupt count
+  /// then fails like a short buffer instead of reserving gigabytes.
+  /// \throws std::out_of_range when they cannot fit.
+  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
+                                          std::size_t min_bytes) const {
+    if (n > remaining() / min_bytes) {
+      throw std::out_of_range("binio: count exceeds the buffer");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return bytes_.size() - pos_;
   }

@@ -1,7 +1,6 @@
 /// \file seqlock.hpp
 /// Double-buffered seqlock epoch: the publication protocol behind the
-/// admission subsystem's lock-free aggregate reads
-/// (IncrementalDemand::header(), AdmissionEngine::stats()).
+/// engine's lock-free shard-header reads (AdmissionEngine::stats()).
 ///
 /// One writer (serialized externally — e.g. under a shard mutex)
 /// alternates between two payload buffers; readers never block it.

@@ -2,7 +2,9 @@
 /// Shared helpers for the edfkit test suite.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "gen/scenario.hpp"
 #include "model/task_set.hpp"
+#include "util/binio.hpp"
 #include "util/random.hpp"
 
 namespace edfkit::testing {
@@ -53,6 +56,33 @@ inline std::vector<TaskSet> paper_random_sets(int count, double utilization,
     out.push_back(draw_fig8_set(rng, utilization));
   }
   return out;
+}
+
+/// Snapshot section ids (admission/snapshot.cpp) the tests patch.
+inline constexpr std::uint32_t kControllerSection = 2;
+inline constexpr std::uint32_t kEngineSection = 3;
+
+/// Overwrite `width` bytes at `offset` inside the first section `id` of
+/// a snapshot image with `value` (little-endian) and re-seal the section
+/// CRC, so the decode (not the framing) sees the change.
+inline std::vector<std::uint8_t> patch_section(
+    std::vector<std::uint8_t> bytes, std::uint32_t id, std::size_t offset,
+    std::uint64_t value, std::size_t width) {
+  std::size_t off = 16;  // magic + version + section count
+  for (;;) {
+    std::uint32_t sid = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&sid, bytes.data() + off, 4);
+    std::memcpy(&len, bytes.data() + off + 4, 8);
+    const std::size_t payload = off + 16;
+    if (sid == id) {
+      std::memcpy(bytes.data() + payload + offset, &value, width);
+      const std::uint32_t crc = crc32(bytes.data() + payload, len);
+      std::memcpy(bytes.data() + off + 12, &crc, 4);
+      return bytes;
+    }
+    off = payload + len;
+  }
 }
 
 /// Iteration multiplier for the differential fuzz suites. The nightly

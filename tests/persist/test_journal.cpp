@@ -67,6 +67,23 @@ TEST(Journal, AppendScanRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, RecordCountPastThePayloadIsOutOfRange) {
+  // An AdmitGroup or RemoveGroup record whose count claims 2^32 - 1
+  // members fails as a short record (std::out_of_range, which a
+  // replicating follower reports as divergence) before anything is
+  // sized by it, and applies nothing.
+  AdmissionController ctl;
+  (void)ctl.try_admit(tk(1, 4, 8));
+  const std::uint32_t before = store_digest(ctl);
+  for (const JournalOp op : {JournalOp::AdmitGroup, JournalOp::RemoveGroup}) {
+    const std::vector<std::uint8_t> record{static_cast<std::uint8_t>(op),
+                                           0xff, 0xff, 0xff, 0xff};
+    EXPECT_THROW(apply_record(ctl, record), std::out_of_range)
+        << static_cast<int>(op);
+  }
+  EXPECT_EQ(store_digest(ctl), before);
+}
+
 TEST(Journal, OpenAppendResumesLsns) {
   const std::string path = temp_path("resume");
   {

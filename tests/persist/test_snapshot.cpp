@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -407,6 +408,56 @@ TEST(Snapshot, KindMismatchAndGarbageAreTypedErrors) {
       FAIL() << "garbage accepted";
     } catch (const persist::PersistError& e) {
       EXPECT_EQ(e.code(), persist::PersistErrc::BadMagic);
+    }
+  }
+  // A count past the image fails as a short image before anything is
+  // sized by it. In the empty store's controller payload the demand
+  // section starts @116; its counts: rows @151, id index @159,
+  // segments @175 (one), then the segment's steps @295 and borders
+  // @303.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  {
+    const std::vector<std::uint8_t> image = encode_snapshot(ctl, 0);
+    ASSERT_EQ(testing::patch_section(image, testing::kControllerSection, 175,
+                                     1, 8),
+              image);
+    for (const std::size_t offset : {151, 159, 175, 295, 303}) {
+      AdmissionController out;
+      try {
+        (void)load_snapshot_bytes(
+            out, testing::patch_section(image, testing::kControllerSection,
+                                        offset, huge, 8));
+        ADD_FAILURE() << "count @" << offset << " accepted";
+      } catch (const persist::PersistError& e) {
+        EXPECT_EQ(e.code(), persist::PersistErrc::Truncated) << offset;
+      }
+    }
+  }
+  // An engine image whose shard count (its section's first u64) is
+  // past its shard sections is refused before anything is sized by it.
+  {
+    save_snapshot(engine, path);
+    persist::write_file_atomic(
+        path, testing::patch_section(persist::read_file(path),
+                                     testing::kEngineSection, 0, huge, 8));
+    try {
+      (void)load_snapshot(engine, path);
+      ADD_FAILURE() << "shard count accepted";
+    } catch (const persist::PersistError& e) {
+      EXPECT_EQ(e.code(), persist::PersistErrc::BadValue);
+    }
+  }
+  // A section length that wraps the end-of-image check is Truncated.
+  {
+    std::vector<std::uint8_t> image = encode_snapshot(ctl, 0);
+    const std::uint64_t wraps = ~std::uint64_t{0};
+    std::memcpy(image.data() + 16 + 4, &wraps, 8);  // first section's len
+    AdmissionController out;
+    try {
+      (void)load_snapshot_bytes(out, image);
+      ADD_FAILURE() << "wrapping section length accepted";
+    } catch (const persist::PersistError& e) {
+      EXPECT_EQ(e.code(), persist::PersistErrc::Truncated);
     }
   }
   std::remove(path.c_str());

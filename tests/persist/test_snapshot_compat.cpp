@@ -5,9 +5,10 @@
 /// the format-v2 library from the compat traces of pin_traces.hpp. Each
 /// must load into this build with the residents, stats and store of a
 /// replay of the same trace prefix, and then decide the rest of the
-/// trace exactly as that replay does. A v2 image whose dropped field
+/// trace exactly as that replay does. An image whose dropped field
 /// holds anything but its old default is refused with a typed
-/// PersistError.
+/// PersistError: v2's dropped fields, and eager_compaction, whose two
+/// bytes v3 images keep as 0.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "admission/snapshot.hpp"
+#include "helpers.hpp"
 #include "persist/format.hpp"
 #include "pin_traces.hpp"
 
@@ -48,7 +50,6 @@ void expect_same_options(const AdmissionOptions& a, const AdmissionOptions& b,
   EXPECT_EQ(a.utilization_cap, b.utilization_cap) << what;
   EXPECT_EQ(a.skip_exact, b.skip_exact) << what;
   EXPECT_EQ(a.use_slack_index, b.use_slack_index) << what;
-  EXPECT_EQ(a.eager_compaction, b.eager_compaction) << what;
   EXPECT_EQ(a.return_certificate, b.return_certificate) << what;
   EXPECT_EQ(a.platform.m, b.platform.m) << what;
 }
@@ -129,33 +130,20 @@ persist::PersistErrc load_error(const std::string& path) {
   return persist::PersistErrc::IoError;
 }
 
-/// Overwrite `width` bytes at `offset` inside the controller section of
-/// a snapshot image and re-seal the section CRC, so the decode (not the
-/// framing) sees the change.
 std::vector<std::uint8_t> patch_controller(std::vector<std::uint8_t> bytes,
                                            std::size_t offset,
                                            std::uint64_t value,
                                            std::size_t width) {
-  std::size_t off = 16;  // magic + version + section count
-  for (;;) {
-    std::uint32_t id = 0;
-    std::uint64_t len = 0;
-    std::memcpy(&id, bytes.data() + off, 4);
-    std::memcpy(&len, bytes.data() + off + 4, 8);
-    const std::size_t payload = off + 16;
-    if (id == 2) {  // the controller section
-      std::memcpy(bytes.data() + payload + offset, &value, width);
-      const std::uint32_t crc = crc32(bytes.data() + payload, len);
-      std::memcpy(bytes.data() + off + 12, &crc, 4);
-      return bytes;
-    }
-    off = payload + len;
-  }
+  return testing::patch_section(std::move(bytes), testing::kControllerSection,
+                                offset, value, width);
 }
 
 TEST(SnapshotCompat, V2ImageWithADroppedOptionSetIsRefused) {
-  // Written with max_tasks = 16.
+  // Written with max_tasks = 16:
   EXPECT_EQ(load_error(data_path("snapshot_v2_max_tasks.bin")),
+            persist::PersistErrc::BadValue);
+  // Written with eager_compaction = true:
+  EXPECT_EQ(load_error(data_path("snapshot_v2_controller.bin")),
             persist::PersistErrc::BadValue);
 
   // The v2 controller payload: epsilon f64 @0, exact_fallback u32 @8,
@@ -163,7 +151,7 @@ TEST(SnapshotCompat, V2ImageWithADroppedOptionSetIsRefused) {
   // and, after utilization_cap and max_tasks, the option flags from @96
   // (rollback_refinements @99).
   const std::vector<std::uint8_t> v2 =
-      persist::read_file(data_path("snapshot_v2_controller.bin"));
+      persist::read_file(data_path("snapshot_v2_global.bin"));
   const std::string path = temp_path("patched");
   persist::write_file_atomic(path, patch_controller(v2, 12, 5, 8));
   EXPECT_EQ(load_error(path), persist::PersistErrc::BadValue);
@@ -182,6 +170,32 @@ TEST(SnapshotCompat, V2ImageWithADroppedOptionSetIsRefused) {
     EXPECT_EQ(load_error(path), persist::PersistErrc::BadVersion) << version;
   }
   std::remove(path.c_str());
+}
+
+TEST(SnapshotCompat, V3ImageWithEagerCompactionSetIsRefused) {
+  AdmissionController ctl;
+  (void)ctl.try_admit(testing::tk(1, 4, 8));
+  const std::vector<std::uint8_t> v3 = encode_snapshot(ctl, 0);
+  // The v3 controller payload: epsilon, exact_fallback and
+  // utilization_cap, then the option flags from @20 (eager_compaction
+  // @22); 11 u64 stats from @28; the demand section from @116: k, then
+  // its flags (eager_compaction @125).
+  for (const std::size_t offset : {std::size_t{22}, std::size_t{125}}) {
+    AdmissionController out;
+    try {
+      (void)load_snapshot_bytes(out, patch_controller(v3, offset, 1, 1));
+      ADD_FAILURE() << "offset " << offset << " loaded";
+    } catch (const persist::PersistError& e) {
+      EXPECT_EQ(e.code(), persist::PersistErrc::BadValue) << offset;
+      EXPECT_NE(std::string(e.what()).find("eager_compaction"),
+                std::string::npos)
+          << offset << ": " << e.what();
+    }
+  }
+  // Written as 0, the bytes load.
+  AdmissionController ok;
+  EXPECT_NO_THROW((void)load_snapshot_bytes(ok, v3));
+  EXPECT_EQ(store_digest(ok), store_digest(ctl));
 }
 
 }  // namespace

@@ -112,14 +112,9 @@ struct CompatTrace {
 }
 
 [[nodiscard]] inline std::vector<CompatTrace> compat_traces() {
-  // Every kept option away from its default, so the v2 decode of each
-  // is exercised (the dropped ones hold their defaults).
-  AdmissionOptions uni;
-  uni.epsilon = 0.2;
-  uni.exact_fallback = TestKind::Dynamic;
-  uni.use_slack_index = false;
-  uni.eager_compaction = true;
-  uni.return_certificate = true;
+  // Options away from their defaults, so their v2 decode is exercised
+  // (the dropped ones hold their defaults). snapshot_v2_controller.bin
+  // is not among them: it sets eager_compaction, which is refused.
   AdmissionOptions global;
   global.platform.m = 4;
   global.return_certificate = true;
@@ -127,8 +122,6 @@ struct CompatTrace {
   engine.skip_exact = true;
   engine.utilization_cap = 0.9;
   return {
-      {"snapshot_v2_controller.bin",
-       {"uni", uni, pin_churn(30, 0.99, 40, 300, 0.2, 4), 41}, 200, 0},
       {"snapshot_v2_global.bin",
        {"global", global, pin_churn(15, 0.99, 60, 200, 0.15, 3), 42}, 150,
        0},

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -127,29 +126,6 @@ TEST(Workload, CopiesReExpandIndependently) {
   Workload c;
   c = a;
   EXPECT_EQ(c.tasks().size(), a.tasks().size());
-}
-
-TEST(WorkloadView, ViewsAreZeroCopyOverSetsAndWorkloads) {
-  const TaskSet ts = set_of({tk(2, 6, 8), tk(3, 10, 12)});
-  const WorkloadView view(ts);
-  EXPECT_EQ(&view.tasks(), &ts);  // zero-copy: the very same object
-  EXPECT_EQ(view.kind(), WorkloadKind::PeriodicTasks);
-  EXPECT_EQ(view.source_size(), 2u);
-  EXPECT_FALSE(view.empty());
-
-  const Workload w = Workload::periodic(ts);
-  const WorkloadView wview(w);
-  EXPECT_EQ(&wview.tasks(), &w.tasks());
-  EXPECT_EQ(wview.to_string(), w.to_string());
-}
-
-TEST(WorkloadView, SpanBackedViewMaterializesOnce) {
-  const std::vector<Task> raw{tk(1, 4, 8), tk(2, 6, 12)};
-  const WorkloadView view{std::span<const Task>(raw)};
-  EXPECT_EQ(view.source_size(), 2u);
-  const TaskSet* first = &view.tasks();
-  EXPECT_EQ(first, &view.tasks());  // built once, then cached
-  EXPECT_EQ(view.tasks().size(), 2u);
 }
 
 }  // namespace
