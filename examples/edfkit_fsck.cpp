@@ -18,8 +18,10 @@
 ///      journal's GC cut cannot be composed with it).
 ///   3. replay — full recover() (snapshot + journal suffix) through
 ///      the normal admission entry points, then verify_consistency()
-///      and an exact from-scratch feasibility re-check of the resident
-///      set (TestKind::ProcessorDemand).
+///      and a full feasibility re-check of the resident set on the
+///      recovered controller's platform
+///      (AdmissionController::recheck_resident: the exact processor-
+///      demand test on one processor, the global ladder on m > 1).
 ///   4. round-trip digest — the recovered controller is re-serialized
 ///      through the snapshot codec, loaded back, and the two store
 ///      digests (admission/snapshot.hpp store_digest) must be equal:
@@ -196,11 +198,10 @@ void check_tenant(const std::string& tenant, const TenantPaths& p,
     return;
   }
   const StoreHeader hdr = recovered.demand_header();
-  const FeasibilityResult feas =
-      recovered.analyze_resident(TestKind::ProcessorDemand);
+  const FeasibilityResult feas = recovered.recheck_resident();
   if (hdr.residents > 0 && !feas.feasible()) {
     fail(v, &Verdicts::replay, tenant,
-         "recovered resident set fails the exact feasibility re-check");
+         "recovered resident set fails the feasibility re-check");
     return;
   }
 

@@ -540,4 +540,16 @@ FeasibilityResult AdmissionController::analyze_resident(TestKind kind) const {
   return query_exact(demand_.resident(), kind);
 }
 
+FeasibilityResult AdmissionController::recheck_resident() const {
+  const TaskSet& ts = demand_.resident();
+  if (opts_.platform.uniprocessor()) {
+    return query_exact(ts, TestKind::ProcessorDemand);
+  }
+  if (ts.empty()) return make_verdict(Verdict::Feasible);
+  return Query::cascade(opts_.platform)
+      .with_certificates(false)
+      .run(ts)
+      .analysis;
+}
+
 }  // namespace edfkit

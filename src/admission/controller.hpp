@@ -256,6 +256,14 @@ class AdmissionController {
   [[nodiscard]] FeasibilityResult analyze_resident(
       TestKind kind = TestKind::ProcessorDemand) const;
 
+  /// The standing invariant's re-check on the controller's own platform,
+  /// as the server drain and edfkit_fsck run it: one processor gets the
+  /// exact processor-demand test; m > 1 gets the global ladder
+  /// (default_ladder_kinds(platform()), as Query::cascade runs it),
+  /// first decisive verdict wins. A healthy global set above U = 1
+  /// fails the uniprocessor test, so that test cannot judge it.
+  [[nodiscard]] FeasibilityResult recheck_resident() const;
+
   /// Verify the incremental aggregates against a from-scratch rebuild.
   [[nodiscard]] bool verify_consistency() const {
     return demand_.matches_rebuild();

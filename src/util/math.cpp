@@ -14,20 +14,6 @@ Time lcm_saturating(Time a, Time b) noexcept {
   return static_cast<Time>(l);
 }
 
-Time add_saturating(Time a, Time b) noexcept {
-  const Int128 s = static_cast<Int128>(a) + static_cast<Int128>(b);
-  if (s >= static_cast<Int128>(kTimeInfinity)) return kTimeInfinity;
-  constexpr Time kFloor = std::numeric_limits<Time>::min() / 4;
-  if (s <= static_cast<Int128>(kFloor)) return kFloor;
-  return static_cast<Time>(s);
-}
-
-Time mul_saturating(Time a, Time b) noexcept {
-  const Int128 p = mul_wide(a, b);
-  if (p >= static_cast<Int128>(kTimeInfinity)) return kTimeInfinity;
-  return static_cast<Time>(p);
-}
-
 Time narrow_time(Int128 v) {
   if (v > static_cast<Int128>(std::numeric_limits<Time>::max()) ||
       v < static_cast<Int128>(std::numeric_limits<Time>::min())) {

@@ -68,16 +68,27 @@ inline constexpr Time kTimeInfinity = std::numeric_limits<Time>::max() / 4;
 /// \pre a >= 0 && b >= 0
 [[nodiscard]] Time lcm_saturating(Time a, Time b) noexcept;
 
-/// a + b with saturation at kTimeInfinity (inputs must be non-negative
-/// or small negatives; result is clamped into [min/4, kTimeInfinity]).
-[[nodiscard]] Time add_saturating(Time a, Time b) noexcept;
-
-/// a * b with saturation at kTimeInfinity. \pre a >= 0 && b >= 0
-[[nodiscard]] Time mul_saturating(Time a, Time b) noexcept;
-
 /// Exact a * b into 128 bits (never overflows for 64-bit inputs).
 [[nodiscard]] constexpr Int128 mul_wide(Time a, Time b) noexcept {
   return static_cast<Int128>(a) * static_cast<Int128>(b);
+}
+
+/// a + b with saturation at kTimeInfinity (inputs must be non-negative
+/// or small negatives; result is clamped into [min/4, kTimeInfinity]).
+/// Inline: every demand kernel's row_dbf runs through these two.
+[[nodiscard]] constexpr Time add_saturating(Time a, Time b) noexcept {
+  const Int128 s = static_cast<Int128>(a) + static_cast<Int128>(b);
+  if (s >= static_cast<Int128>(kTimeInfinity)) return kTimeInfinity;
+  constexpr Time kFloor = std::numeric_limits<Time>::min() / 4;
+  if (s <= static_cast<Int128>(kFloor)) return kFloor;
+  return static_cast<Time>(s);
+}
+
+/// a * b with saturation at kTimeInfinity. \pre a >= 0 && b >= 0
+[[nodiscard]] constexpr Time mul_saturating(Time a, Time b) noexcept {
+  const Int128 p = mul_wide(a, b);
+  if (p >= static_cast<Int128>(kTimeInfinity)) return kTimeInfinity;
+  return static_cast<Time>(p);
 }
 
 /// Checked narrowing of an Int128 back to Time.

@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "../helpers.hpp"
+#include "multi_reference.hpp"
 #include "admission/controller.hpp"
 #include "admission/engine.hpp"
 #include "query/certificate.hpp"
@@ -95,6 +98,20 @@ TEST(GlobalLadder, RtaEmitsResponseBoundsWithinDeadlines) {
     EXPECT_GE(bounds[i], ts[i].wcet);
     EXPECT_LE(bounds[i], ts[i].effective_deadline());
   }
+}
+
+TEST(GlobalLadder, LoadCarryInSumSaturates) {
+  // Five carry-ins near kTimeInfinity on m = 8: their sum CS leaves the
+  // Time range. It saturates (a wrapped, negative CS would shrink the
+  // left side toward a false accept), and gbl-load answers Unknown.
+  std::vector<Task> tasks;
+  for (Time i = 0; i < 5; ++i) {
+    tasks.push_back(
+        tk(kTimeInfinity - 30, kTimeInfinity - 10 - i, kTimeInfinity));
+  }
+  const FeasibilityResult r =
+      multi::global_load_test(TaskSet(tasks), Platform{8});
+  EXPECT_EQ(r.verdict, Verdict::Unknown);
 }
 
 TEST(GlobalLadder, SimRefutesDhallEffectSet) {
@@ -239,6 +256,32 @@ TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
   ASSERT_TRUE(engine.admit(light).admitted);
   ASSERT_TRUE(engine.admit(light).admitted);
   EXPECT_TRUE(engine.admit(heavy).admitted);
+}
+
+TEST(GlobalAdmission, ResidentRecheckRunsThePlatformsOwnLadder) {
+  // Three tasks of density 0.6 on four processors: GFB admits them all,
+  // and U = 1.8 > 1 makes the uniprocessor exact test refute the same
+  // healthy set. The re-check the server drain and edfkit_fsck run must
+  // judge it on its own platform.
+  AdmissionOptions ao;
+  ao.platform = Platform{4};
+  AdmissionController global(ao);
+  EXPECT_TRUE(global.recheck_resident().feasible());  // empty
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(global.try_admit(tk(6, 10, 10)).admitted);
+  }
+  EXPECT_TRUE(global.analyze_resident(TestKind::ProcessorDemand).infeasible());
+  EXPECT_TRUE(global.recheck_resident().feasible());
+
+  // One processor keeps the exact processor-demand re-check.
+  AdmissionController uni{AdmissionOptions{}};
+  ASSERT_TRUE(uni.try_admit(tk(6, 10, 10)).admitted);
+  EXPECT_FALSE(uni.try_admit(tk(6, 10, 10)).admitted);
+  const FeasibilityResult r = uni.recheck_resident();
+  const FeasibilityResult exact =
+      uni.analyze_resident(TestKind::ProcessorDemand);
+  EXPECT_TRUE(r.feasible());
+  EXPECT_EQ(r.iterations, exact.iterations);
 }
 
 TEST(GlobalAdmission, EngineGlobalModeCoercesToOneController) {
@@ -469,6 +512,242 @@ TEST(IncrementalGfb, ChurnDecisionsMatchTheFromScratchTest) {
   }
   EXPECT_GT(gfb_accepts, 0u);
   EXPECT_GT(max_departures, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Deadline split: gbl-bcl, gbl-bcl-iter and gbl-rta settle task checks
+// from certified floors and compute exact window terms only where those
+// cannot. Every FeasibilityResult field and every RTA response bound
+// must match the pre-split reference kernels (multi_reference.hpp);
+// gfb and gbl-load, whose exact-rational sums now stop at the first
+// overflow, are held to theirs too.
+// ---------------------------------------------------------------------------
+
+namespace ref = testing::reference;
+
+/// "" when the two results agree field for field, else the first field
+/// that differs.
+std::string result_diff(const FeasibilityResult& got,
+                        const FeasibilityResult& want) {
+  std::ostringstream os;
+  if (got.verdict != want.verdict) {
+    os << "verdict " << to_string(got.verdict) << " vs "
+       << to_string(want.verdict);
+  } else if (got.iterations != want.iterations) {
+    os << "iterations " << got.iterations << " vs " << want.iterations;
+  } else if (got.revisions != want.revisions) {
+    os << "revisions " << got.revisions << " vs " << want.revisions;
+  } else if (got.witness != want.witness) {
+    os << "witness " << got.witness << " vs " << want.witness;
+  } else if (got.max_interval_tested != want.max_interval_tested) {
+    os << "max_interval_tested " << got.max_interval_tested << " vs "
+       << want.max_interval_tested;
+  } else if (got.degraded != want.degraded) {
+    os << "degraded " << got.degraded << " vs " << want.degraded;
+  }
+  return os.str();
+}
+
+/// Outcome of one differential run of the five column kernels.
+struct KernelDiff {
+  std::string mismatch;        ///< "" when every kernel matched
+  bool rta_feasible = false;
+  bool window_check_passed = false;  ///< gbl-bcl got past its first check
+};
+
+KernelDiff diff_kernels(const std::vector<Task>& tasks, std::uint32_t m,
+                        const multi::GlobalTestConfig& cfg = {}) {
+  const TaskColumns c{std::span<const Task>(tasks)};
+  const ref::Config rcfg{cfg.max_rounds, cfg.max_rta_iterations,
+                         cfg.max_load_points};
+  std::vector<Time> got_bounds;
+  std::vector<Time> want_bounds;
+  struct Pair {
+    const char* name;
+    FeasibilityResult got;
+    FeasibilityResult want;
+  };
+  const Pair pairs[] = {
+      {"gfb", multi::gfb_density_test(c, m), ref::gfb_density_test(c, m)},
+      {"gbl-bcl", multi::global_bcl_test(c, m), ref::global_bcl_test(c, m)},
+      {"gbl-bcl-iter", multi::global_bcl_iterative_test(c, m, cfg),
+       ref::global_bcl_iterative_test(c, m, rcfg)},
+      {"gbl-load", multi::global_load_test(c, m, cfg),
+       ref::global_load_test(c, m, rcfg)},
+      {"gbl-rta", multi::global_rta_test(c, m, cfg, &got_bounds),
+       ref::global_rta_test(c, m, rcfg, &want_bounds)},
+  };
+  KernelDiff out;
+  for (const Pair& p : pairs) {
+    const std::string d = result_diff(p.got, p.want);
+    if (!d.empty()) {
+      out.mismatch = std::string(p.name) + ": " + d;
+      return out;
+    }
+  }
+  if (got_bounds != want_bounds) out.mismatch = "gbl-rta: response bounds";
+  out.rta_feasible = pairs[4].got.feasible();
+  out.window_check_passed = pairs[1].got.iterations > c.size();
+  return out;
+}
+
+/// Reports a mismatch with its set, and drops the set as a fuzz artifact.
+void expect_match(const KernelDiff& d, const std::vector<Task>& tasks,
+                  std::uint32_t m, const char* artifact) {
+  if (d.mismatch.empty()) return;
+  const std::string set = "m=" + std::to_string(m) + "\n" +
+                          TaskSet(tasks).to_string();
+  write_fuzz_artifact(artifact, set);
+  ADD_FAILURE() << d.mismatch << "\n" << set;
+}
+
+/// A random constrained-deadline set: n tasks, total utilization about
+/// `u`, periods in [t_lo, t_hi], with deadline ties, C = 1, C = D and
+/// one-shot rows mixed in.
+std::vector<Task> constrained_set(Rng& rng, std::size_t n, double u,
+                                  Time t_lo, Time t_hi) {
+  std::vector<double> weight(n);
+  double total = 0.0;
+  for (double& w : weight) total += (w = rng.uniform(0.05, 1.0));
+  const Time tied_deadline = rng.uniform_time(t_lo, t_hi);
+  std::vector<Task> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Time t = rng.uniform_time(t_lo, t_hi);
+    Time d = rng.uniform_time(std::max<Time>(1, t / 2), t);
+    if (rng.bernoulli(0.15)) d = std::min(t, tied_deadline);
+    const double share = std::min(1.0, u * weight[i] / total);
+    Time c = std::clamp<Time>(
+        static_cast<Time>(share * static_cast<double>(t)), 1, d);
+    if (rng.bernoulli(0.05)) c = 1;
+    if (rng.bernoulli(0.03)) c = d;
+    Task task = tk(c, d, t);
+    if (rng.bernoulli(0.03)) task.period = kTimeInfinity;  // one-shot
+    out.push_back(task);
+  }
+  return out;
+}
+
+TEST(DeadlineSplit, FloorLemmasHoldForEverySlackTheIterationCanWrite) {
+  // Far lemma: against a task with a shorter deadline, row i's term is
+  // exactly window_far_term under any slack. Near lemma: against a task
+  // whose deadline is not shorter, it is at least window_near_floor for
+  // every slack 0 <= s_i <= D_i - C_i (what BCL-iter and RTA write).
+  Rng rng(1807);
+  std::size_t far = 0;
+  std::size_t near = 0;
+  const std::size_t sets = 60 * fuzz_multiplier();
+  for (std::size_t round = 0; round < sets; ++round) {
+    const bool short_periods = rng.bernoulli(0.5);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 40));
+    std::vector<Task> tasks =
+        short_periods ? constrained_set(rng, n, 2.0, 2, 60)
+                      : constrained_set(rng, n, 4.0, 10'000, 1'000'000);
+    if (round % 10 == 0) {
+      tasks.push_back(tk(kTimeInfinity - 5, kTimeInfinity - 2, kTimeInfinity));
+    }
+    const TaskColumns c{std::span<const Task>(tasks)};
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Time> s(c.size());
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        const Time most = c.deadline[i] - c.wcet[i];
+        s[i] = trial == 0 ? 0
+               : trial == 1 ? most
+                            : rng.uniform_time(0, most);
+      }
+      for (std::size_t k = 0; k < c.size(); ++k) {
+        for (std::size_t i = 0; i < c.size(); ++i) {
+          if (i == k) continue;
+          const Time w = ref::window_term(c, i, c.deadline[k], s[i]);
+          if (c.deadline[i] > c.deadline[k]) {
+            ++far;
+            ASSERT_EQ(w, multi::window_far_term(c, i))
+                << "row " << i << " against " << k;
+          } else {
+            ++near;
+            ASSERT_GE(w, multi::window_near_floor(c, i))
+                << "row " << i << " against " << k << " slack " << s[i];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(far, 0u);
+  EXPECT_GT(near, 0u);
+}
+
+TEST(DeadlineSplit, ColumnKernelsMatchTheReferenceOnRandomSets) {
+  Rng rng(20261018);
+  const std::size_t sets = 1000 * fuzz_multiplier();
+  std::size_t rta_feasible = 0;
+  std::size_t window_passes = 0;
+  for (std::size_t round = 0; round < sets; ++round) {
+    const auto m = static_cast<std::uint32_t>(rng.uniform_int(2, 8));
+    // Mostly small sets, one in ten up to 300 tasks.
+    const std::size_t n = static_cast<std::size_t>(
+        round % 10 == 0 ? rng.uniform_int(40, 300) : rng.uniform_int(2, 40));
+    // Per-processor load from light (round 1 passes most checks) to
+    // saturated; period ranges short, long and mixed.
+    const double u = rng.uniform(0.05, 1.0) * static_cast<double>(m);
+    std::vector<Task> tasks;
+    switch (round % 3) {
+      case 0: tasks = constrained_set(rng, n, u, 2, 60); break;
+      case 1: tasks = constrained_set(rng, n, u, 10'000, 1'000'000); break;
+      default: tasks = constrained_set(rng, n, u, 5, 100'000); break;
+    }
+    // A tight round cap now and then exercises the caps' exits.
+    multi::GlobalTestConfig cfg;
+    if (round % 7 == 0) {
+      cfg.max_rounds = 1 + round % 3;
+      cfg.max_rta_iterations = 2 + static_cast<unsigned>(round % 5);
+    }
+    const KernelDiff d = diff_kernels(tasks, m, cfg);
+    expect_match(d, tasks, m, "deadline_split_random");
+    if (!d.mismatch.empty()) return;
+    rta_feasible += d.rta_feasible;
+    window_passes += d.window_check_passed;
+  }
+  // The family must reach both the accepting and the rejecting paths.
+  EXPECT_GT(rta_feasible, 0u);
+  EXPECT_GT(window_passes, 0u);
+}
+
+TEST(DeadlineSplit, ColumnKernelsMatchTheReferenceOnEdgeCases) {
+  const Time inf = kTimeInfinity;
+  const Time big = inf - 10;  // largest valid deadlines
+  const std::vector<std::vector<Task>> cases = {
+      // Deadline ties everywhere, and C = 1 rows.
+      {tk(1, 10, 10), tk(1, 10, 20), tk(3, 10, 10), tk(2, 10, 15)},
+      {tk(1, 7, 7), tk(1, 7, 7), tk(1, 7, 7), tk(1, 7, 7), tk(1, 7, 7)},
+      // C = D rows (no slack to prove).
+      {tk(5, 5, 10), tk(5, 5, 10), tk(1, 20, 20), tk(2, 9, 30)},
+      {tk(10, 10, 10), tk(1, 3, 3)},
+      // One-shot rows, one with a period of 2^62 (past kTimeInfinity).
+      {tk(3, 10, inf), tk(4, 12, inf), tk(2, 8, 8), tk(1, 30, 40)},
+      {tk(1, 1, inf), tk(1, 2, inf), tk(1, 3, Time{1} << 62)},
+      // Values at the top of the Time range (three tasks at most: the
+      // reference sums wrap beyond that).
+      {tk(big / 2, big, inf), tk(big / 3, big - 1, inf)},
+      {tk(1, big, big), tk(big - 1, big, inf), tk(7, big - 3, big)},
+      {tk(big / 4, big / 2, big), tk(big / 8, big / 4, big / 2),
+       tk(1, 100, 100)},
+      // Budget overflow: m * L_k leaves the Time range at the third
+      // check, after two passing ones.
+      {tk(1, 10, 10), tk(1, 10, 10), tk(5, inf / 2, inf / 2)},
+  };
+  for (const std::vector<Task>& tasks : cases) {
+    for (const std::uint32_t m : {2u, 3u, 4u, 8u}) {
+      expect_match(diff_kernels(tasks, m), tasks, m, "deadline_split_edge");
+    }
+  }
+  // The overflow case answers Unknown at the same check with the same
+  // iterations as before: two passing checks and the third one.
+  const TaskColumns overflow{std::span<const Task>(cases.back())};
+  for (const FeasibilityResult& r :
+       {multi::global_bcl_test(overflow, 4),
+        multi::global_bcl_iterative_test(overflow, 4)}) {
+    EXPECT_EQ(r.verdict, Verdict::Unknown);
+    EXPECT_EQ(r.iterations, 9u);
+  }
 }
 
 // ---------------------------------------------------------------------------
