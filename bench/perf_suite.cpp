@@ -11,12 +11,12 @@
 ///                [--obs-trace-out FILE] [--gate-fault-overhead X]
 ///                [--gate-repl-overhead X]
 ///
-/// --quick only reduces timing repetitions (best-of-1) and read cell
-/// iterations; the sweep grid and trace lengths stay identical so
+/// --quick only reduces timing repetitions (best-of-1); the sweep
+/// grid and trace lengths stay identical so
 /// a quick run's headline is directly comparable to the committed
 /// full-run baseline (the CI gate depends on this).
 ///
-/// Sections (schema = 9):
+/// Sections (schema = 10):
 ///
 ///  * admission — churn traces (gen/scenario Fixed family) with
 ///    n in {10, 100, 1000} resident tasks and pool utilization
@@ -48,11 +48,6 @@
 ///    O(level)), on a single-segment store, where erasing on every
 ///    removal would memmove the most. Reported, not gated; it should
 ///    stay flat as n grows.
-///
-///  * read — concurrent-read throughput of AdmissionEngine::stats():
-///    `read_qps` polls the epoch-versioned wait-free headers while a
-///    writer churns; `locked_qps` is the mutex path (stats_locked),
-///    which convoys behind admissions.
 ///
 ///  * persist — durability costs (admission/snapshot.hpp): full
 ///    snapshot save (serialize + fsync + atomic rename) and load
@@ -114,16 +109,16 @@
 ///    Reported, not gated (absolute rates; no old-path twin exists for
 ///    a ratio).
 ///
-/// JSON schema (schema = 9; v8 had a query section and eager_ns/speedup
-/// removal columns; v7 had no multi section; v6 had no repl section; v5
-/// had no fault section; v4 had no net section; v3 had no obs section
-/// and no known_regressions; v2 had no persist section; v1 had no
-/// batch/removal/read sections). `known_regressions` documents the
+/// JSON schema (schema = 10; v9 had a read section; v8 had a query
+/// section and eager_ns/speedup removal columns; v7 had no multi
+/// section; v6 had no repl section; v5 had no fault section; v4 had no
+/// net section; v3 had no obs section and no known_regressions; v2 had
+/// no persist section; v1 had no batch/removal/read sections). `known_regressions` documents the
 /// accepted sub-1x admission cells (n=100 slack-index maintenance) with
 /// the scan-internals counters that explain them — the small-n gate
 /// tolerates those cells; a *new* regression shows up as a cell outside
 /// this list.
-///   { "bench": "perf_suite", "schema": 9, "seed": N, "quick": bool,
+///   { "bench": "perf_suite", "schema": 10, "seed": N, "quick": bool,
 ///     "epsilon": e,
 ///     "admission": [ { "n": N, "u": U, "events": N, "ladder": bool,
 ///                      "old_dps": f, "new_dps": f, "speedup": f,
@@ -135,8 +130,6 @@
 ///                      "agreement": true } ... ],
 ///     "removal":   [ { "n": N, "checkpoints": N, "tombstone_ns": f }
 ///                    ... ],
-///     "read":      [ { "readers": R, "locked_qps": f, "read_qps": f,
-///                      "speedup": f } ],
 ///     "persist":   [ { "n": N, "snapshot_bytes": N, "save_ns": f,
 ///                      "load_ns": f, "journal_append_ns": f } ... ],
 ///     "obs":       [ { "n": N, "u": U, "events": N, "plain_dps": f,
@@ -168,7 +161,6 @@
 #include <pthread.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -181,7 +173,6 @@
 #include <vector>
 
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "admission/replay.hpp"
 #include "admission/snapshot.hpp"
 #include "bench_common.hpp"
@@ -555,106 +546,6 @@ RemovalRow run_removal_cell(std::size_t n, double epsilon,
     best = std::min(best, seconds_since(t0));
   }
   row.tombstone_ns = best * 1e9 / static_cast<double>(removals);
-  return row;
-}
-
-// ----------------------------------------------------------------- read
-
-struct ReadRow {
-  std::size_t readers = 0;
-  double locked_qps = 0.0;
-  double read_qps = 0.0;
-  double speedup = 0.0;
-};
-
-/// Reader throughput against a churning engine: the epoch path takes
-/// no shard mutex; the locked path convoys behind the writer.
-ReadRow run_read_cell(std::size_t readers, double epsilon,
-                      std::uint64_t seed, bool quick) {
-  EngineOptions eopts;
-  eopts.shards = 2;
-  eopts.admission.epsilon = epsilon;
-  eopts.admission.skip_exact = true;
-  AdmissionEngine engine(eopts);
-
-  // A saturated n=1000 writer: its admissions hold the shard mutex for
-  // whole certified scans, which is exactly the convoy the epoch
-  // headers remove for readers.
-  const std::vector<TraceEvent> trace =
-      make_trace(1000, 0.99, 4000, seed, 0.0, 1);
-  // Pre-fill so the writer's admits carry realistic scan cost.
-  std::vector<std::pair<std::uint64_t, GlobalTaskId>> live;
-  std::size_t warm = 0;
-  for (const TraceEvent& ev : trace) {
-    if (ev.op != TraceOp::Arrive || warm >= 1000) break;
-    const PlacementDecision d = engine.admit(ev.task);
-    if (d.admitted) live.emplace_back(ev.key, d.id);
-    ++warm;
-  }
-
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    // Remove one resident, then admit arrivals until one *rejects*:
-    // every iteration ends in a failing certified scan (accepted
-    // arrivals at this density are mostly certificate-covered and hold
-    // the lock for nanoseconds — it is the boundary rejects that pin
-    // the shard mutex for a whole scan, the convoy the locked read
-    // path pays and the epoch path does not).
-    Rng wrng(seed + 1);
-    std::size_t cursor = warm;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!live.empty()) {
-        const std::size_t pick = static_cast<std::size_t>(
-            wrng.uniform_time(0, static_cast<Time>(live.size()) - 1));
-        (void)engine.remove(live[pick].second);
-        live[pick] = live.back();
-        live.pop_back();
-      }
-      for (int tries = 0; tries < 8; ++tries) {
-        if (cursor >= trace.size()) cursor = warm;
-        const TraceEvent& ev = trace[cursor++];
-        if (ev.op != TraceOp::Arrive) continue;
-        const PlacementDecision d = engine.admit(ev.task);
-        if (!d.admitted) break;  // the failing scan this loop exists for
-        live.emplace_back(ev.key, d.id);
-      }
-    }
-  });
-
-  const double window = quick ? 0.08 : 0.25;
-  const auto measure = [&](bool locked) {
-    std::atomic<std::uint64_t> count{0};
-    std::vector<std::thread> pool;
-    pool.reserve(readers);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < readers; ++r) {
-      pool.emplace_back([&] {
-        // Allocation-free polling (stats_into reuses capacity): the
-        // cell measures mutex convoy vs epoch reads, not malloc.
-        EngineStats snap;
-        std::uint64_t mine = 0;
-        while (seconds_since(t0) < window) {
-          if (locked) {
-            engine.stats_locked_into(snap);
-          } else {
-            engine.stats_into(snap);
-          }
-          ++mine;
-        }
-        count.fetch_add(mine, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    return static_cast<double>(count.load()) / window;
-  };
-
-  ReadRow row;
-  row.readers = readers;
-  row.locked_qps = measure(/*locked=*/true);
-  row.read_qps = measure(/*locked=*/false);
-  row.speedup = row.read_qps / row.locked_qps;
-  stop.store(true);
-  writer.join();
   return row;
 }
 
@@ -1387,19 +1278,6 @@ int main(int argc, char** argv) {
                        row.tombstone_ns, 0.0);
     }
 
-    // Concurrent reads: wait-free epoch headers vs the mutex path.
-    std::vector<ReadRow> reads;
-    {
-      const ReadRow row =
-          run_read_cell(/*readers=*/4, epsilon, setup.seed + 4242, quick);
-      reads.push_back(row);
-      std::printf("%-10s %6zu %6s %8s %11.0f/s %12.0f/s %8.2fx\n", "read",
-                  row.readers, "-", "-", row.locked_qps, row.read_qps,
-                  row.speedup);
-      setup.csv.row_of("read", static_cast<long long>(row.readers), 0.0,
-                       0LL, row.locked_qps, row.read_qps, row.speedup);
-    }
-
     // Durability costs: snapshot save/load + journal append (reported,
     // not gated — these run beside the decision path).
     std::vector<PersistRow> persists;
@@ -1554,7 +1432,7 @@ int main(int argc, char** argv) {
 
     bench::JsonEmitter json;
     json.kv("bench", "perf_suite")
-        .kv("schema", 9LL)
+        .kv("schema", 10LL)
         .kv("seed", static_cast<long long>(setup.seed))
         .kv("quick", quick)
         .kv("epsilon", epsilon);
@@ -1594,16 +1472,6 @@ int main(int argc, char** argv) {
           .kv("n", static_cast<long long>(row.n))
           .kv("checkpoints", static_cast<long long>(row.checkpoints))
           .kv("tombstone_ns", row.tombstone_ns)
-          .end();
-    }
-    json.end();
-    json.begin_array("read");
-    for (const ReadRow& row : reads) {
-      json.begin_object()
-          .kv("readers", static_cast<long long>(row.readers))
-          .kv("locked_qps", row.locked_qps)
-          .kv("read_qps", row.read_qps)
-          .kv("speedup", row.speedup)
           .end();
     }
     json.end();

@@ -15,7 +15,11 @@
 ///      crash artifact the recovery path drops by design).
 ///   2. coherence — the snapshot's journal LSN must sit inside the
 ///      journal's [base_lsn, end) window (a snapshot older than the
-///      journal's GC cut cannot be composed with it).
+///      journal's GC cut cannot be composed with it), and a journal
+///      that holds records needs a snapshot: the journal records
+///      operations, not the options (platform, epsilon, ...) they ran
+///      under, and the server snapshots every new durable tenant before
+///      its first record.
 ///   3. replay — full recover() (snapshot + journal suffix) through
 ///      the normal admission entry points, then verify_consistency()
 ///      and a full feasibility re-check of the resident set on the
@@ -28,9 +32,9 @@
 ///      what was read is exactly what would be written.
 ///   5. cold-replay differential — when the journal was never rotated
 ///      (base_lsn == 0, full history on disk) the journal alone is
-///      replayed into a second controller and its digest must equal
-///      the composed recovery's: snapshot and journal tell the same
-///      story.
+///      replayed into a second controller with the recovered options
+///      and its digest must equal the composed recovery's: snapshot and
+///      journal tell the same story.
 ///
 /// Exit codes are typed so harnesses can gate on the failure class:
 ///   0  every check passed
@@ -38,7 +42,8 @@
 ///   3  data directory missing or holds no tenant artifacts
 ///   4  CRC/framing corruption (snapshot, journal, or dedup sidecar)
 ///   5  replay or consistency failure (recovery threw, the recovered
-///      store is inconsistent, or snapshot/journal are incoherent)
+///      store is inconsistent, snapshot/journal are incoherent, or a
+///      journal holds records without a snapshot)
 ///   6  digest mismatch (round-trip or cold-replay differential)
 #include <cstdio>
 #include <exception>
@@ -168,7 +173,15 @@ void check_tenant(const std::string& tenant, const TenantPaths& p,
   if (!have_snap && !have_wal) return;  // dedup-only stray; checked below
 
   // 2. Coherence: recovery replays [snap_lsn, end) — a snapshot below
-  // the journal's GC cut leaves a gap no replay can fill.
+  // the journal's GC cut leaves a gap no replay can fill, and without
+  // a snapshot the options the records ran under are unknown.
+  if (!have_snap && !scan.records.empty()) {
+    fail(v, &Verdicts::replay, tenant,
+         "journal holds " + std::to_string(scan.records.size()) +
+             " records but no snapshot records the options they ran "
+             "under");
+    return;
+  }
   if (have_snap && have_wal && snap_lsn < scan.base_lsn) {
     fail(v, &Verdicts::replay, tenant,
          "snapshot lsn " + std::to_string(snap_lsn) +
@@ -227,7 +240,7 @@ void check_tenant(const std::string& tenant, const TenantPaths& p,
   // 5. Cold-replay differential, when the full history is on disk.
   if (have_wal && scan.base_lsn == 0) {
     try {
-      AdmissionController cold{AdmissionOptions{}};
+      AdmissionController cold{recovered.options()};
       (void)recover(cold, "", p.wal);
       if (store_digest(cold) != recovered_digest) {
         fail(v, &Verdicts::digest, tenant,

@@ -28,7 +28,7 @@
 /// the multiprocessor portfolio in default_ladder_kinds(Platform) order
 /// (query/query.hpp) through the backend registry, mapped onto the same
 /// rung names so stats, traces, and wire STATS stay comparable with
-/// partitioned deployments:
+/// uniprocessor tenants:
 ///   Utilization — the GFB density accept, O(1) when the density
 ///                 bounds IncrementalDemand maintains prove it with
 ///                 margin (multi::gfb_bounds_accept). Otherwise the
@@ -48,7 +48,8 @@
 /// carries a MultiprocessorCertificate (query/certificate.hpp) built
 /// over the widened set while it is still materialized.
 ///
-/// Not thread-safe; AdmissionEngine provides sharding + locking.
+/// Not thread-safe: each network tenant owns one controller, driven
+/// only from the server's event-loop thread.
 #pragma once
 
 #include <array>

@@ -177,7 +177,7 @@ struct StoreHeader {
 };
 
 /// Mutable task multiset + approximated demand checkpoints.
-/// Not thread-safe; AdmissionEngine shards and locks around it.
+/// Not thread-safe: one AdmissionController owns and serializes it.
 class IncrementalDemand {
  public:
   /// \pre 0 < epsilon <= 1. Initial steps per task: k = ceil(1/epsilon).

@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -48,53 +47,6 @@ void refill_pool(std::vector<Task>& pool, Rng& rng, const ChurnConfig& cfg) {
     }
   }
   pool.insert(pool.end(), set.begin(), set.end());
-}
-
-/// Shared replay core: `admit` returns (admitted, rung, effort) for an
-/// arrival event (single or group — the event says which); `depart`
-/// returns the number of tasks withdrawn (0 = the key was never
-/// admitted or already left); `utilization` is a cheap (lock-free)
-/// load probe — resident counts derive from the replay's own
-/// bookkeeping.
-template <typename AdmitFn, typename DepartFn, typename UtilFn,
-          typename CrashFn>
-ReplayStats replay_core(const std::vector<TraceEvent>& trace, AdmitFn admit,
-                        DepartFn depart, UtilFn utilization,
-                        CrashFn crash) {
-  ReplayStats out;
-  std::size_t resident = 0;
-  for (const TraceEvent& ev : trace) {
-    if (ev.op == TraceOp::Crash) {
-      ++out.crashes;
-      crash();
-      continue;
-    }
-    if (ev.op != TraceOp::Depart) {
-      const std::size_t tasks =
-          ev.op == TraceOp::Arrive ? 1 : ev.group.size();
-      out.arrivals += tasks;
-      if (ev.op == TraceOp::ArriveGroup) ++out.groups;
-      const auto [admitted, rung, effort] = admit(ev);
-      ++out.by_rung[static_cast<std::size_t>(rung)];
-      out.total_effort += effort;
-      (admitted ? out.admitted : out.rejected) += tasks;
-      if (admitted) {
-        resident += tasks;
-        out.peak_utilization =
-            std::max(out.peak_utilization, utilization());
-      }
-    } else {
-      ++out.departures;
-      const std::size_t gone = depart(ev);
-      if (gone == 0) {
-        ++out.skipped_departures;
-      } else {
-        resident -= gone;
-      }
-    }
-    out.peak_resident = std::max(out.peak_resident, resident);
-  }
-  return out;
 }
 
 }  // namespace
@@ -201,40 +153,69 @@ namespace {
 
 /// Controller replay body shared by the plain and persistence-enabled
 /// entries: `crash` handles TraceOp::Crash, `after_event` runs once per
-/// non-crash event (the snapshot cadence hook).
+/// non-crash event (the snapshot cadence hook). Resident counts derive
+/// from the replay's own bookkeeping.
 template <typename CrashFn, typename AfterFn>
 ReplayStats replay_controller(const std::vector<TraceEvent>& trace,
                               AdmissionController& controller,
                               CrashFn crash, AfterFn after_event) {
-  std::unordered_map<std::uint64_t, std::vector<TaskId>> resident;
-  return replay_core(
-      trace,
-      [&](const TraceEvent& ev) {
-        if (ev.op == TraceOp::ArriveGroup) {
-          GroupDecision g = controller.admit_group(ev.group);
-          if (g.admitted) resident.emplace(ev.key, std::move(g.ids));
-          after_event();
-          return std::tuple(g.admitted, g.rung, g.analysis.effort());
-        }
+  ReplayStats out;
+  std::unordered_map<std::uint64_t, std::vector<TaskId>> live;
+  std::size_t resident = 0;
+  for (const TraceEvent& ev : trace) {
+    if (ev.op == TraceOp::Crash) {
+      ++out.crashes;
+      crash();
+      continue;
+    }
+    if (ev.op != TraceOp::Depart) {
+      const bool group = ev.op == TraceOp::ArriveGroup;
+      const std::size_t tasks = group ? ev.group.size() : 1;
+      out.arrivals += tasks;
+      if (group) ++out.groups;
+      bool admitted = false;
+      AdmissionRung rung{};
+      std::uint64_t effort = 0;
+      if (group) {
+        GroupDecision g = controller.admit_group(ev.group);
+        admitted = g.admitted;
+        rung = g.rung;
+        effort = g.analysis.effort();
+        if (admitted) live.emplace(ev.key, std::move(g.ids));
+      } else {
         const AdmissionDecision d = controller.try_admit(ev.task);
-        if (d.admitted) {
-          resident.emplace(ev.key, std::vector<TaskId>{d.id});
-        }
-        after_event();
-        return std::tuple(d.admitted, d.rung, d.analysis.effort());
-      },
-      [&](const TraceEvent& ev) {
-        const auto it = resident.find(ev.key);
-        if (it == resident.end()) {
-          after_event();
-          return std::size_t{0};
-        }
-        const std::size_t gone = controller.remove_group(it->second);
-        resident.erase(it);
-        after_event();
-        return gone;
-      },
-      [&] { return controller.utilization(); }, crash);
+        admitted = d.admitted;
+        rung = d.rung;
+        effort = d.analysis.effort();
+        if (admitted) live.emplace(ev.key, std::vector<TaskId>{d.id});
+      }
+      after_event();
+      ++out.by_rung[static_cast<std::size_t>(rung)];
+      out.total_effort += effort;
+      (admitted ? out.admitted : out.rejected) += tasks;
+      if (admitted) {
+        resident += tasks;
+        out.peak_utilization =
+            std::max(out.peak_utilization, controller.utilization());
+      }
+    } else {
+      ++out.departures;
+      const auto it = live.find(ev.key);
+      std::size_t gone = 0;
+      if (it != live.end()) {
+        gone = controller.remove_group(it->second);
+        live.erase(it);
+      }
+      after_event();
+      if (gone == 0) {
+        ++out.skipped_departures;
+      } else {
+        resident -= gone;
+      }
+    }
+    out.peak_resident = std::max(out.peak_resident, resident);
+  }
+  return out;
 }
 
 }  // namespace
@@ -304,38 +285,6 @@ ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
   }
   out.snapshots = snapshots;
   controller.attach_journal(nullptr);
-  record_replay(obs, trace.size(), out);
-  return out;
-}
-
-ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
-                         AdmissionEngine& engine, obs::Obs* obs) {
-  std::unordered_map<std::uint64_t, std::vector<GlobalTaskId>> resident;
-  const ReplayStats out = replay_core(
-      trace,
-      [&](const TraceEvent& ev) {
-        if (ev.op == TraceOp::ArriveGroup) {
-          GroupPlacement g = engine.admit_group(ev.group);
-          if (g.admitted) resident.emplace(ev.key, std::move(g.ids));
-          return std::tuple(g.admitted, g.rung, g.analysis.effort());
-        }
-        const PlacementDecision d = engine.admit(ev.task);
-        if (d.admitted) {
-          resident.emplace(ev.key, std::vector<GlobalTaskId>{d.id});
-        }
-        return std::tuple(d.admitted, d.rung, d.analysis.effort());
-      },
-      [&](const TraceEvent& ev) {
-        const auto it = resident.find(ev.key);
-        if (it == resident.end()) return std::size_t{0};
-        std::size_t gone = 0;
-        for (const GlobalTaskId id : it->second) {
-          gone += engine.remove(id) ? 1 : 0;
-        }
-        resident.erase(it);
-        return gone;
-      },
-      [&] { return engine.utilization_estimate(); }, [] {});
   record_replay(obs, trace.size(), out);
   return out;
 }

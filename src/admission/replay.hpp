@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "persist/journal.hpp"
 #include "util/random.hpp"
 
@@ -141,13 +140,6 @@ struct ReplayPersistence {
 ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
                          AdmissionController& controller,
                          const ReplayPersistence& persistence,
-                         obs::Obs* obs = nullptr);
-
-/// Drive a sharded engine through the trace, in order (synchronous
-/// admits; concurrency is exercised by driving the engine from several
-/// threads at once — see tests/admission/test_engine.cpp).
-ReplayStats replay_trace(const std::vector<TraceEvent>& trace,
-                         AdmissionEngine& engine,
                          obs::Obs* obs = nullptr);
 
 }  // namespace edfkit

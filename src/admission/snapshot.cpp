@@ -14,11 +14,6 @@ using persist::PersistError;
 
 constexpr std::uint32_t kSecMeta = 1;
 constexpr std::uint32_t kSecController = 2;
-constexpr std::uint32_t kSecEngine = 3;
-constexpr std::uint32_t kSecShard = 4;
-/// Engine images: the journal LSN of every shard, in shard order.
-/// Images written before per-shard journals lack it.
-constexpr std::uint32_t kSecShardLsns = 5;
 
 /// The smallest encodings, for checking counts read from an image
 /// before anything is sized by them (ByteReader::checked_count).
@@ -107,23 +102,18 @@ void decode_v2_analyzer(ByteReader& r) {
   expect_dropped_default(r.u64() == pd.max_iterations, "pd_max_iterations");
 }
 
-SnapshotMeta decode_meta(const persist::SectionReader& sr,
-                         SnapshotKind want) {
+SnapshotMeta decode_meta(const persist::SectionReader& sr) {
   ByteReader r = sr.section(kSecMeta);
-  SnapshotMeta meta;
   const std::uint8_t kind = r.u8();
-  if (kind != static_cast<std::uint8_t>(SnapshotKind::Controller) &&
-      kind != static_cast<std::uint8_t>(SnapshotKind::Engine)) {
+  if (kind == static_cast<std::uint8_t>(SnapshotKind::Engine)) {
+    throw PersistError(PersistErrc::BadValue,
+                       "engine snapshot loaded as controller");
+  }
+  if (kind != static_cast<std::uint8_t>(SnapshotKind::Controller)) {
     throw PersistError(PersistErrc::BadValue, "unknown snapshot kind");
   }
-  meta.kind = static_cast<SnapshotKind>(kind);
+  SnapshotMeta meta;
   meta.journal_lsn = r.u64();
-  if (meta.kind != want) {
-    throw PersistError(PersistErrc::BadValue,
-                       meta.kind == SnapshotKind::Engine
-                           ? "engine snapshot loaded as controller"
-                           : "controller snapshot loaded as engine");
-  }
   return meta;
 }
 
@@ -180,34 +170,6 @@ Record decode_record(std::span<const std::uint8_t> payload) {
                        "journal record has trailing bytes");
   }
   return rec;
-}
-
-/// The replay body of both recover() overloads: apply the records of
-/// the journal at `journal_path` (if it exists) from LSN `from_lsn` on
-/// through the normal controller entry points, counting into `result`.
-void replay_journal(AdmissionController& out, const std::string& journal_path,
-                    std::uint64_t from_lsn, RecoveryResult& result,
-                    ReplayObserver* observer) {
-  if (journal_path.empty() || !persist::file_exists(journal_path)) return;
-  const persist::JournalScan scan = persist::scan_journal(journal_path);
-  result.torn_tail = result.torn_tail || scan.torn_tail;
-  result.journal_records += scan.records.size();
-  if (from_lsn > scan.base_lsn + scan.records.size()) {
-    throw PersistError(PersistErrc::BadValue,
-                       "snapshot is ahead of the journal");
-  }
-  if (from_lsn < scan.base_lsn) {
-    // rotate() GC'd records this recovery still needs — the cut
-    // outran the snapshot. Replaying only the suffix would silently
-    // skip committed operations.
-    throw PersistError(PersistErrc::BadValue,
-                       "journal rotated past the snapshot LSN");
-  }
-  for (std::uint64_t i = from_lsn - scan.base_lsn; i < scan.records.size();
-       ++i) {
-    apply_record(out, scan.records[i], observer);
-    ++result.replayed;
-  }
 }
 
 }  // namespace
@@ -516,103 +478,6 @@ struct SnapshotCodec {
     decode_demand(c.demand_, r);
   }
 
-  static void engine_save(const AdmissionEngine& e, const std::string& path) {
-    // Hold every shard across the capture: a shard appends to its
-    // journal under its own mutex, so the image then matches one cut
-    // of every journal.
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(e.shards_.size());
-    for (const auto& shard : e.shards_) locks.emplace_back(shard->mu);
-
-    persist::SectionWriter sw;
-    encode_meta(sw, SnapshotKind::Engine, 0);
-    {
-      ByteWriter& w = sw.begin(kSecEngine);
-      w.u64(e.shards_.size());
-      w.u8(static_cast<std::uint8_t>(e.opts_.placement));
-      w.u64(e.opts_.workers);
-    }
-    for (std::size_t i = 0; i < e.shards_.size(); ++i) {
-      ByteWriter& w = sw.begin(kSecShard);
-      w.u32(static_cast<std::uint32_t>(i));
-      // The shard's published store-header epoch at snapshot time —
-      // purely diagnostic (epochs restart with the process).
-      w.u64(e.shards_[i]->controller.demand_header().epoch);
-      encode_controller(e.shards_[i]->controller, w);
-    }
-    {
-      ByteWriter& w = sw.begin(kSecShardLsns);
-      w.u64(e.shards_.size());
-      for (const auto& shard : e.shards_) {
-        const persist::Journal* j = shard->controller.journal();
-        w.u64(j != nullptr ? j->lsn() : 0);
-      }
-    }
-    locks.clear();  // serialize happened under lock; IO happens outside
-    sw.finish(path);
-  }
-
-  static SnapshotMeta engine_load(AdmissionEngine& e,
-                                  const std::string& path) {
-    {
-      const std::lock_guard<std::mutex> lock(e.queue_mu_);
-      if (!e.workers_.empty()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "load_snapshot into a serving engine");
-      }
-    }
-    const persist::SectionReader sr(persist::read_file(path));
-    SnapshotMeta meta = decode_meta(sr, SnapshotKind::Engine);
-    ByteReader er = sr.section(kSecEngine);
-    const std::uint64_t shards = er.u64();
-    const std::uint8_t placement = er.u8();
-    if (shards == 0 ||
-        placement > static_cast<std::uint8_t>(PlacementPolicy::BestFit)) {
-      throw PersistError(PersistErrc::BadValue, "engine options");
-    }
-    // Every shard has a section of its own: a larger count is corrupt,
-    // and must not size the reservation below.
-    if (shards > sr.ids().size()) {
-      throw PersistError(PersistErrc::BadValue, "shard count");
-    }
-    std::vector<std::unique_ptr<AdmissionEngine::Shard>> fresh;
-    fresh.reserve(shards);
-    const std::vector<std::uint32_t>& ids = sr.ids();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != kSecShard) continue;
-      ByteReader w = sr.section_at(i);
-      const std::uint32_t idx = w.u32();
-      (void)w.u64();  // header epoch (diagnostic)
-      if (idx != fresh.size()) {
-        throw PersistError(PersistErrc::BadValue, "shard order");
-      }
-      auto shard = std::make_unique<AdmissionEngine::Shard>(
-          AdmissionOptions{});
-      decode_controller(shard->controller, w, sr.version());
-      shard->load.store(shard->controller.utilization(),
-                        std::memory_order_relaxed);
-      shard->publish();
-      fresh.push_back(std::move(shard));
-    }
-    if (fresh.size() != shards) {
-      throw PersistError(PersistErrc::BadValue, "shard count");
-    }
-    if (sr.has_section(kSecShardLsns)) {
-      ByteReader lr = sr.section(kSecShardLsns);
-      if (lr.u64() != shards) {
-        throw PersistError(PersistErrc::BadValue, "shard LSN count");
-      }
-      meta.shard_lsns.resize(shards);
-      for (std::uint64_t& lsn : meta.shard_lsns) lsn = lr.u64();
-    }
-    e.opts_.shards = shards;
-    e.opts_.placement = static_cast<PlacementPolicy>(placement);
-    e.opts_.workers = er.u64();
-    e.opts_.admission = fresh.front()->controller.options();
-    e.shards_ = std::move(fresh);
-    return meta;
-  }
-
   /// Return the store to its freshly-constructed state (configuration
   /// — epsilon, the index flag, thresholds — kept). Cold
   /// journal replay starts from here: replaying records into a
@@ -650,86 +515,6 @@ struct SnapshotCodec {
     c.sequence_ = 0;
     reset_demand(c.demand_);
   }
-
-  /// Rebuild every shard empty (engine options kept). \pre not serving.
-  static void reset_engine(AdmissionEngine& e) {
-    {
-      const std::lock_guard<std::mutex> lock(e.queue_mu_);
-      if (!e.workers_.empty()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "recover into a serving engine");
-      }
-    }
-    std::vector<std::unique_ptr<AdmissionEngine::Shard>> fresh;
-    fresh.reserve(e.opts_.shards);
-    for (std::size_t i = 0; i < e.opts_.shards; ++i) {
-      fresh.push_back(
-          std::make_unique<AdmissionEngine::Shard>(e.opts_.admission));
-    }
-    e.shards_ = std::move(fresh);
-  }
-
-  static std::uint32_t shard_digest(const AdmissionEngine& e,
-                                    std::size_t i) {
-    const AdmissionEngine::Shard& s = *e.shards_.at(i);
-    const std::lock_guard<std::mutex> lock(s.mu);
-    return store_digest(s.controller);
-  }
-
-  static RecoveryResult engine_recover(
-      AdmissionEngine& e, const std::string& snapshot_path,
-      std::span<const std::string> journal_paths) {
-    // Loading or resetting replaces the shards with fresh, detached
-    // ones, so replay does not re-journal; the caller's journals move
-    // to the recovered shards afterwards.
-    std::vector<persist::Journal*> attached;
-    for (const auto& shard : e.shards_) {
-      attached.push_back(shard->controller.journal());
-    }
-    const auto reattach = [&] {
-      const std::size_t n = std::min(attached.size(), e.shards_.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        e.shards_[i]->controller.attach_journal(attached[i]);
-      }
-    };
-    RecoveryResult result;
-    try {
-      std::vector<std::uint64_t> from;
-      if (!snapshot_path.empty() && persist::file_exists(snapshot_path)) {
-        from = load_snapshot(e, snapshot_path).shard_lsns;
-        result.snapshot_loaded = true;
-      } else {
-        reset_engine(e);
-      }
-      // An image written before engines journaled per shard has no
-      // LSNs to resume from, so it recovers only without journals.
-      const bool legacy_image = result.snapshot_loaded && from.empty();
-      if (journal_paths.size() != e.shards_.size()) {
-        throw PersistError(PersistErrc::BadValue,
-                           "one journal path per shard required");
-      }
-      from.resize(e.shards_.size(), 0);
-      for (std::size_t i = 0; i < e.shards_.size(); ++i) {
-        if (legacy_image && !journal_paths[i].empty() &&
-            persist::file_exists(journal_paths[i])) {
-          throw PersistError(PersistErrc::BadValue,
-                             "engine snapshot predates per-shard journal "
-                             "LSNs; it cannot take a journal suffix");
-        }
-        AdmissionEngine::Shard& s = *e.shards_[i];
-        result.snapshot_lsn += from[i];
-        replay_journal(s.controller, journal_paths[i], from[i], result,
-                       nullptr);
-        s.load.store(s.controller.utilization(), std::memory_order_relaxed);
-        s.publish();
-      }
-    } catch (...) {
-      reattach();
-      throw;
-    }
-    reattach();
-    return result;
-  }
 };
 
 void save_snapshot(const AdmissionController& controller,
@@ -740,26 +525,14 @@ void save_snapshot(const AdmissionController& controller,
   sw.finish(path);
 }
 
-void save_snapshot(const AdmissionEngine& engine, const std::string& path) {
-  SnapshotCodec::engine_save(engine, path);
-}
-
 SnapshotMeta load_snapshot(AdmissionController& out,
                            const std::string& path) {
   try {
     const persist::SectionReader sr(persist::read_file(path));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
+    const SnapshotMeta meta = decode_meta(sr);
     ByteReader r = sr.section(kSecController);
     SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
-  } catch (const std::out_of_range&) {
-    throw PersistError(PersistErrc::Truncated, path);
-  }
-}
-
-SnapshotMeta load_snapshot(AdmissionEngine& out, const std::string& path) {
-  try {
-    return SnapshotCodec::engine_load(out, path);
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, path);
   }
@@ -815,7 +588,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
                                  std::vector<std::uint8_t> bytes) {
   try {
     const persist::SectionReader sr(std::move(bytes));
-    const SnapshotMeta meta = decode_meta(sr, SnapshotKind::Controller);
+    const SnapshotMeta meta = decode_meta(sr);
     ByteReader r = sr.section(kSecController);
     SnapshotCodec::decode_controller(out, r, sr.version());
     return meta;
@@ -827,7 +600,7 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
 SnapshotMeta read_snapshot_meta(std::vector<std::uint8_t> bytes) {
   try {
     const persist::SectionReader sr(std::move(bytes));
-    return decode_meta(sr, SnapshotKind::Controller);
+    return decode_meta(sr);
   } catch (const std::out_of_range&) {
     throw PersistError(PersistErrc::Truncated, "snapshot bytes");
   }
@@ -837,10 +610,6 @@ std::uint32_t store_digest(const AdmissionController& controller) {
   ByteWriter w;
   SnapshotCodec::encode_controller(controller, w);
   return crc32(w.data());
-}
-
-std::uint32_t store_digest(const AdmissionEngine& engine, std::size_t shard) {
-  return SnapshotCodec::shard_digest(engine, shard);
 }
 
 RecoveryResult recover(AdmissionController& out,
@@ -863,19 +632,34 @@ RecoveryResult recover(AdmissionController& out,
       // record.
       SnapshotCodec::reset_controller(out);
     }
-    replay_journal(out, journal_path, result.snapshot_lsn, result, observer);
+    if (!journal_path.empty() && persist::file_exists(journal_path)) {
+      const persist::JournalScan scan = persist::scan_journal(journal_path);
+      result.torn_tail = scan.torn_tail;
+      result.journal_records = scan.records.size();
+      const std::uint64_t from = result.snapshot_lsn;
+      if (from > scan.base_lsn + scan.records.size()) {
+        throw PersistError(PersistErrc::BadValue,
+                           "snapshot is ahead of the journal");
+      }
+      if (from < scan.base_lsn) {
+        // rotate() GC'd records this recovery still needs — the cut
+        // outran the snapshot. Replaying only the suffix would silently
+        // skip committed operations.
+        throw PersistError(PersistErrc::BadValue,
+                           "journal rotated past the snapshot LSN");
+      }
+      for (std::uint64_t i = from - scan.base_lsn; i < scan.records.size();
+           ++i) {
+        apply_record(out, scan.records[i], observer);
+        ++result.replayed;
+      }
+    }
   } catch (...) {
     out.attach_journal(attached);
     throw;
   }
   out.attach_journal(attached);
   return result;
-}
-
-RecoveryResult recover(AdmissionEngine& out,
-                       const std::string& snapshot_path,
-                       std::span<const std::string> journal_paths) {
-  return SnapshotCodec::engine_recover(out, snapshot_path, journal_paths);
 }
 
 }  // namespace edfkit

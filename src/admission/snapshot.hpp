@@ -1,7 +1,7 @@
 /// \file snapshot.hpp
 /// Durable admission state: versioned binary snapshots of the
-/// controller/engine plus the admission journal codec and crash
-/// recovery (ROADMAP "Persistence").
+/// controller plus the admission journal codec and crash recovery
+/// (ROADMAP "Persistence").
 ///
 /// Two composable artifacts:
 ///
@@ -29,15 +29,6 @@
 /// controller entry points. Cold recovery (journal only, no snapshot)
 /// replays from the beginning into a freshly constructed controller;
 /// snapshot-only recovery restores the checkpoint and replays nothing.
-///
-/// An engine journals per shard: AdmissionEngine::attach_journals gives
-/// each shard's controller its own journal, which records every
-/// operation offered to that shard — placement probes it rejects
-/// included — in the shard's apply order. save_snapshot(engine) briefly
-/// locks every shard and records each shard's own journal LSN, and
-/// engine recovery replays journal i into shard i with the controller
-/// replay above, so it is bit-identical per shard: every GlobalTaskId
-/// handed out before a crash names the same task afterwards.
 #pragma once
 
 #include <cstdint>
@@ -45,24 +36,21 @@
 #include <string>
 #include <vector>
 
-#include "admission/engine.hpp"
+#include "admission/controller.hpp"
 #include "persist/journal.hpp"
 
 namespace edfkit {
 
-/// Snapshot container kinds (section kSecMeta).
+/// Snapshot container kinds (section kSecMeta). Engine is the tag of
+/// images written by the sharded engine earlier versions shipped; the
+/// loader refuses it with PersistError{BadValue}.
 enum class SnapshotKind : std::uint8_t { Controller = 1, Engine = 2 };
 
 struct SnapshotMeta {
   SnapshotKind kind = SnapshotKind::Controller;
   /// Journal LSN the snapshot reflects: records [0, journal_lsn) are
-  /// already folded in; recovery replays from journal_lsn. Engine
-  /// images write 0 here and keep one LSN per shard in `shard_lsns`.
+  /// already folded in; recovery replays from journal_lsn.
   std::uint64_t journal_lsn = 0;
-  /// Engine images: each shard's journal_lsn, in shard order. Empty
-  /// for controller images and for engine images written before
-  /// engines journaled per shard.
-  std::vector<std::uint64_t> shard_lsns;
 };
 
 /// Journal record tags (first payload byte).
@@ -104,24 +92,11 @@ namespace journal_codec {
 void save_snapshot(const AdmissionController& controller,
                    const std::string& path, std::uint64_t journal_lsn = 0);
 
-/// Serialize the engine: engine options, one section per shard, and
-/// the LSN of each shard's attached journal (0 for a detached shard).
-/// Every shard is held across the capture, so the image matches one
-/// cut of every journal. Safe concurrently with serving threads.
-void save_snapshot(const AdmissionEngine& engine, const std::string& path);
-
 /// Restore `out` from a controller snapshot, overwriting its options
 /// and entire store. \throws PersistError on any framing/CRC/value
 /// problem or a kind mismatch.
 SnapshotMeta load_snapshot(AdmissionController& out,
                            const std::string& path);
-
-/// Restore `out` from an engine snapshot (shard count and options come
-/// from the file). The loaded shards start with no journal attached.
-/// \pre the engine is not serving (no worker pool, no concurrent
-/// callers). \throws PersistError; BadValue when workers are already
-/// running.
-SnapshotMeta load_snapshot(AdmissionEngine& out, const std::string& path);
 
 /// Watches a controller recovery replay record by record. The network
 /// server implements this to rebuild its per-client exactly-once dedup
@@ -168,23 +143,6 @@ RecoveryResult recover(AdmissionController& out,
                        const std::string& journal_path,
                        ReplayObserver* observer = nullptr);
 
-/// Engine recovery: the controller recovery above, per shard. Loads
-/// the engine snapshot (shard count and options come from the file)
-/// or, without one, empties every shard, then replays
-/// `journal_paths[i]` into shard i from that shard's snapshot LSN.
-/// Snapshot-only, journal-only (cold) and snapshot-plus-suffix
-/// recoveries are all valid. The RecoveryResult LSN and record counts
-/// are summed over shards; torn_tail is set when any journal had one.
-/// Journals attached when recovery starts are re-attached to
-/// the recovered shards afterwards. \pre not serving. \throws
-/// PersistError as the controller overload does; BadValue when
-/// `journal_paths.size()` is not the recovered shard count, or when a
-/// journal file exists beside an engine image that predates per-shard
-/// journal LSNs.
-RecoveryResult recover(AdmissionEngine& out,
-                       const std::string& snapshot_path,
-                       std::span<const std::string> journal_paths);
-
 /// Apply ONE journal record payload through the normal controller
 /// entry points — the body of recover()'s replay loop, exposed so a
 /// replication follower (src/repl/) can run the recovery path
@@ -220,11 +178,5 @@ SnapshotMeta load_snapshot_bytes(AdmissionController& out,
 /// at matching journal LSNs).
 [[nodiscard]] std::uint32_t store_digest(
     const AdmissionController& controller);
-
-/// store_digest() of one engine shard's controller, taken under the
-/// shard mutex — how engine recovery is checked bit-identical per
-/// shard. \pre shard < engine.shards()
-[[nodiscard]] std::uint32_t store_digest(const AdmissionEngine& engine,
-                                         std::size_t shard);
 
 }  // namespace edfkit

@@ -58,10 +58,10 @@ namespace edfkit::net {
 
 /// v2 grew HELLO by a trailing `platform_m` (global admission mode:
 /// the tenant's controller admits against m processors instead of
-/// partitioned uniprocessor shards) and the certificate codec by the
-/// multiprocessor fields. All v2 fields are trailing, so v1 peers
-/// interoperate: the server accepts kMinProtocolVersion..kProtocolVersion
-/// and a v1 HELLO defaults to platform_m = 1.
+/// one) and the certificate codec by the multiprocessor fields. All
+/// v2 fields are trailing, so v1 peers interoperate: the server accepts
+/// kMinProtocolVersion..kProtocolVersion and a v1 HELLO defaults to
+/// platform_m = 1.
 inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::uint8_t kMinProtocolVersion = 1;
 /// Frames larger than this are a protocol violation (a length prefix

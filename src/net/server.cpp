@@ -472,12 +472,14 @@ void Server::serve_one(Connection& c, const NetRequest& req,
           break;
         }
         try {
+          const bool fresh = tenants_.find(req.tenant) == nullptr;
           Tenant& t = tenants_.get_or_create(
               req.tenant,
               static_cast<persist::FsyncPolicy>(req.durability),
               req.fsync_interval,
               (req.hdr.flags & kFlagCertifiedTenant) != 0,
               req.platform_m);
+          if (fresh && t.quarantined()) count_quarantine();
           c.tenant = &t;
           tenant = &t;
           c.client_id = req.client;
@@ -987,12 +989,15 @@ void Server::close_connection(int fd) {
 void Server::quarantine_tenant(Tenant& t, const persist::PersistError& e) {
   const bool was = t.quarantined();
   t.quarantine(e);
-  if (!was && metrics_ != nullptr) {
-    metrics_->quarantines.add();
-    std::size_t q = 0;
-    tenants_.for_each([&](Tenant& x) { q += x.quarantined() ? 1 : 0; });
-    metrics_->quarantined.set(static_cast<double>(q));
-  }
+  if (!was) count_quarantine();
+}
+
+void Server::count_quarantine() {
+  if (metrics_ == nullptr) return;
+  metrics_->quarantines.add();
+  std::size_t q = 0;
+  tenants_.for_each([&](Tenant& x) { q += x.quarantined() ? 1 : 0; });
+  metrics_->quarantined.set(static_cast<double>(q));
 }
 
 void Server::reprobe_quarantined() {

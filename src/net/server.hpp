@@ -181,6 +181,9 @@ class Server {
   /// Move the tenant into quarantine (Unavailable until a re-probe
   /// recovers it) and bump the metrics.
   void quarantine_tenant(Tenant& t, const persist::PersistError& e);
+  /// The metrics half of quarantine_tenant(), also run for a new
+  /// tenant that opened quarantined (its first checkpoint failed).
+  void count_quarantine();
   /// Periodic try_recover() pass over quarantined tenants.
   void reprobe_quarantined();
   void close_connection(int fd);

@@ -148,6 +148,13 @@ Tenant::Tenant(std::string name, const TenantOptions& opts,
     journal_path_ = opts.data_dir + "/" + name_ + ".wal";
     dedup_path_ = opts.data_dir + "/" + name_ + ".dedup";
     open_artifacts();
+    try {
+      checkpoint_if_unsaved();
+    } catch (const persist::PersistError& e) {
+      // As for a failed periodic checkpoint: the tenant serves from
+      // quarantine, and the re-probe retries the checkpoint.
+      quarantine(e);
+    }
   }
   if (obs != nullptr) ctl_.attach_obs(obs);
 }
@@ -281,6 +288,10 @@ void Tenant::checkpoint() {
   ops_since_checkpoint_ = 0;
 }
 
+void Tenant::checkpoint_if_unsaved() {
+  if (!standby_ && !persist::file_exists(snapshot_path_)) checkpoint();
+}
+
 void Tenant::flush() {
   if (journal_) journal_->sync();
 }
@@ -301,6 +312,7 @@ bool Tenant::try_recover() {
   if (!quarantine_retryable_) return false;
   try {
     open_artifacts();
+    checkpoint_if_unsaved();
   } catch (const persist::PersistError& e) {
     // Still sick. A partial open_artifacts() may have mutated the
     // controller, but the quarantine keeps every op away from it, and

@@ -19,7 +19,9 @@
 /// rotate()): every `checkpoint_every` journaled operations the tenant
 /// snapshots at the current LSN and rotates the journal there, so a
 /// long-lived tenant's on-disk footprint is one snapshot plus a
-/// bounded suffix instead of an unbounded operation history.
+/// bounded suffix instead of an unbounded operation history. A new
+/// durable primary also checkpoints once when it opens, before its
+/// first journal record, so its options are on disk from the start.
 #pragma once
 
 #include <cstdint>
@@ -240,6 +242,13 @@ class Tenant {
   /// Recover + dedup rebuild + journal open — the shared body of the
   /// constructor and try_recover(). \throws PersistError
   void open_artifacts();
+  /// checkpoint() when this primary tenant has no snapshot on disk.
+  /// The journal records operations, not the options they run under,
+  /// so a durable primary snapshots before its first record: recovery
+  /// and edfkit_fsck then always read the options from disk. A standby
+  /// takes its snapshot from the primary's seed instead.
+  /// \throws PersistError
+  void checkpoint_if_unsaved();
   /// Persist the dedup sessions to the sidecar (<dir>/<name>.dedup) at
   /// journal LSN `lsn`. Written *before* the snapshot in checkpoint():
   /// if the snapshot then fails, marks in [sidecar_lsn, snapshot_lsn)

@@ -86,29 +86,6 @@ AdmissionInstruments* Obs::admission() {
   return admission_.get();
 }
 
-EngineInstruments* Obs::engine(std::size_t shards) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<EngineInstruments>();
-    engine_->placements = registry_.counter("engine_placements_total");
-    engine_->group_placements =
-        registry_.counter("engine_group_placements_total");
-    engine_->placement_rejects =
-        registry_.counter("engine_placement_rejects_total");
-    engine_->stats_read_retries =
-        registry_.counter("engine_stats_read_retries_total");
-    engine_->placement_ns = registry_.histogram("engine_placement_ns");
-    engine_->shards_tried = registry_.histogram("engine_shards_tried");
-  }
-  while (engine_->shard_decision_ns.size() < shards) {
-    engine_->shard_decision_ns.push_back(registry_.histogram(
-        "engine_shard" +
-        std::to_string(engine_->shard_decision_ns.size()) +
-        "_decision_ns"));
-  }
-  return engine_.get();
-}
-
 JournalInstruments* Obs::journal() {
   const std::lock_guard<std::mutex> lock(mu_);
   if (journal_ == nullptr) {

@@ -1,8 +1,8 @@
 /// \file obs.hpp
 /// The observability facade: one `Obs` object owns the metrics
 /// registry, the flight recorder, and the named instrument bundles the
-/// admission subsystem attaches to (`attach_obs` on the controller,
-/// engine and journal mirrors `attach_journal`).
+/// admission subsystem attaches to (`attach_obs` on the controller
+/// and journal mirrors `attach_journal`).
 ///
 /// Everything is compiled-in-but-cheap: `Obs{ObsConfig::disabled()}`
 /// hands out null metric handles and a zero-capacity recorder, and the
@@ -27,10 +27,6 @@
 ///   admission_segments_walked_total /
 ///   admission_segments_fast_forwarded_total /
 ///   admission_tombstone_compactions_total            — scan internals
-///   engine_placements_total / engine_group_placements_total /
-///   engine_placement_rejects_total / engine_stats_read_retries_total
-///   engine_placement_ns, engine_shards_tried,
-///   engine_shard{i}_decision_ns                      — histograms
 ///   journal_appends_total / journal_fsyncs_total
 ///   journal_append_ns, journal_fsync_ns              — histograms
 ///   replay_events_total / replay_arrivals_total /
@@ -59,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -117,8 +112,8 @@ namespace detail {
 [[nodiscard]] inline double ns_per_tick() noexcept { return 1.0; }
 #endif
 
-/// Controller-side handles (one bundle shared by all shards; writes
-/// are internally sharded).
+/// Controller-side handles (one bundle shared by every attached
+/// controller; writes are internally sharded).
 /// Note: several ladder counters are *derived* at read time rather
 /// than written on the decision path, exploiting two structural
 /// invariants — the probe records exactly one rung_ns sample per
@@ -144,16 +139,6 @@ struct AdmissionInstruments {
   Counter segments_walked;
   Counter segments_fast_forwarded;
   Counter tombstone_compactions;
-};
-
-struct EngineInstruments {
-  Counter placements;
-  Counter group_placements;
-  Counter placement_rejects;
-  Counter stats_read_retries;
-  Histogram placement_ns;
-  Histogram shards_tried;
-  std::vector<Histogram> shard_decision_ns;
 };
 
 struct JournalInstruments {
@@ -241,7 +226,6 @@ class Obs {
   /// Instrument bundles, created on first use (null handles when the
   /// registry is disabled). Pointers stay valid for the Obs lifetime.
   [[nodiscard]] AdmissionInstruments* admission();
-  [[nodiscard]] EngineInstruments* engine(std::size_t shards);
   [[nodiscard]] JournalInstruments* journal();
   [[nodiscard]] ReplayInstruments* replay();
   [[nodiscard]] NetInstruments* net();
@@ -256,7 +240,6 @@ class Obs {
   FlightRecorder recorder_;
   std::mutex mu_;
   std::unique_ptr<AdmissionInstruments> admission_;
-  std::unique_ptr<EngineInstruments> engine_;
   std::unique_ptr<JournalInstruments> journal_;
   std::unique_ptr<ReplayInstruments> replay_;
   std::unique_ptr<NetInstruments> net_;

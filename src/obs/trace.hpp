@@ -9,9 +9,9 @@
 /// walked versus fast-forwarded, the refinement count, and whether a
 /// group rejection rolled back tentative inserts.
 ///
-/// Concurrency model: each ring has a single writer (the shard's
-/// controller, already serialized under the shard mutex) and any
-/// number of concurrent capture() readers. A slot is a per-slot
+/// Concurrency model: each ring has a single writer (the controller
+/// attached to it, itself single-threaded) and any number of
+/// concurrent capture() readers. A slot is a per-slot
 /// seqlock: the writer bumps the slot version odd, stores the packed
 /// payload as relaxed atomic words, then publishes version + 2.
 /// Readers validate the version before and after copying and *skip*
@@ -115,7 +115,8 @@ class TraceRing {
   std::atomic<std::uint64_t> head_{0};
 };
 
-/// One TraceRing per engine shard, plus whole-recorder capture/dump.
+/// One TraceRing per shard (a controller pushes into the ring its
+/// attach_obs call names), plus whole-recorder capture/dump.
 class FlightRecorder {
  public:
   FlightRecorder() = default;

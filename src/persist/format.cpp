@@ -179,8 +179,7 @@ SectionReader::SectionReader(std::vector<std::uint8_t> bytes)
         throw PersistError(PersistErrc::BadCrc,
                            "section " + std::to_string(id));
       }
-      ids_.push_back(id);
-      spans_.emplace_back(payload, static_cast<std::size_t>(len));
+      sections_.push_back({id, payload, static_cast<std::size_t>(len)});
       off = payload + len;
     }
   } catch (const std::out_of_range&) {
@@ -188,24 +187,15 @@ SectionReader::SectionReader(std::vector<std::uint8_t> bytes)
   }
 }
 
-bool SectionReader::has_section(std::uint32_t id) const noexcept {
-  for (const std::uint32_t i : ids_) {
-    if (i == id) return true;
-  }
-  return false;
-}
-
 ByteReader SectionReader::section(std::uint32_t id) const {
-  for (std::size_t i = 0; i < ids_.size(); ++i) {
-    if (ids_[i] == id) return section_at(i);
+  for (const Section& sec : sections_) {
+    if (sec.id == id) {
+      return ByteReader{
+          std::span<const std::uint8_t>(bytes_).subspan(sec.off, sec.len)};
+    }
   }
   throw PersistError(PersistErrc::BadSection,
                      "section " + std::to_string(id));
-}
-
-ByteReader SectionReader::section_at(std::size_t i) const {
-  const auto [off, len] = spans_.at(i);
-  return ByteReader{std::span<const std::uint8_t>(bytes_).subspan(off, len)};
 }
 
 }  // namespace edfkit::persist

@@ -131,20 +131,17 @@ class SectionReader {
   /// Reader over the payload of the first section with `id`.
   /// \throws PersistError{BadSection} when absent.
   [[nodiscard]] ByteReader section(std::uint32_t id) const;
-  [[nodiscard]] bool has_section(std::uint32_t id) const noexcept;
-  /// Section ids in file order (duplicates allowed — the engine writes
-  /// one shard section per shard under the same id family).
-  [[nodiscard]] const std::vector<std::uint32_t>& ids() const noexcept {
-    return ids_;
-  }
-  /// Reader over the i-th section (file order). \pre i < ids().size()
-  [[nodiscard]] ByteReader section_at(std::size_t i) const;
 
  private:
+  struct Section {
+    std::uint32_t id;
+    std::size_t off;  ///< payload offset in bytes_
+    std::size_t len;
+  };
+
   std::vector<std::uint8_t> bytes_;
   std::uint32_t version_ = kFormatVersion;
-  std::vector<std::uint32_t> ids_;
-  std::vector<std::pair<std::size_t, std::size_t>> spans_;  ///< offset, len
+  std::vector<Section> sections_;  ///< file order
 };
 
 }  // namespace edfkit::persist

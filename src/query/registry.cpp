@@ -136,7 +136,7 @@ const char* to_string(TestKind k) noexcept {
 }
 
 BackendRegistry::BackendRegistry() {
-  constexpr std::uint8_t kUni = kPlatformUniprocessor | kPlatformPartitioned;
+  constexpr std::uint8_t kUni = kPlatformUniprocessor;
   constexpr std::uint8_t kGlb = kPlatformGlobal;
   // Registration order == TestKind declaration order == sweep order.
   // LiuLayland does not take event streams: the offset expansion folds

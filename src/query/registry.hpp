@@ -51,16 +51,11 @@ enum class TestKind : int {
 [[nodiscard]] const char* to_string(TestKind k) noexcept;
 
 /// Platform capability flags: which execution platforms a backend's
-/// verdict applies to. `uniprocessor_only` tests answer for m == 1;
-/// `global` tests answer for global EDF on any m; `partitioned` marks
-/// uniprocessor tests the sharded AdmissionEngine may run per shard
-/// (shards *are* uniprocessors, so today the two uniprocessor flags
-/// travel together — the split exists so a future per-shard-unsafe
-/// backend can opt out of engine use).
+/// verdict applies to. `uniprocessor` tests answer for m == 1;
+/// `global` tests answer for global EDF on any m.
 enum PlatformCap : std::uint8_t {
   kPlatformUniprocessor = 1u << 0,
   kPlatformGlobal = 1u << 1,
-  kPlatformPartitioned = 1u << 2,
 };
 
 /// One registered backend: capabilities plus the uniform runner.
@@ -81,7 +76,7 @@ struct BackendInfo {
   /// admission controller's cheap rungs (utilization, epsilon-approx).
   bool incremental = false;
   /// PlatformCap bitmask; see supports(const Platform&).
-  std::uint8_t platform_caps = kPlatformUniprocessor | kPlatformPartitioned;
+  std::uint8_t platform_caps = kPlatformUniprocessor;
   /// Uniform entry point: canonical sporadic form + platform + typed
   /// params. The params variant must hold the alternative for `kind`
   /// (see validate_params); Query guarantees this before dispatch.

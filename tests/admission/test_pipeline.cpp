@@ -2,17 +2,12 @@
 /// The high-throughput admission pipeline: tombstoned removals against
 /// a store rebuilt before every scan (differential fuzz), batch group
 /// admission (atomicity, rollback bit-identity, per-task-loop
-/// agreement), the demand store's header and its epoch, and the
-/// engine's wait-free stats headers under real writers — run this under
-/// the EDFKIT_TSAN configuration for race checking.
+/// agreement), and the demand store's header and its epoch.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "admission/replay.hpp"
 #include "admission/snapshot.hpp"
 #include "analysis/processor_demand.hpp"
@@ -280,25 +275,6 @@ TEST(GroupAdmit, AgreesWithPerTaskRollbackLoop) {
   EXPECT_GT(grouped.stats().groups, 0u);
 }
 
-TEST(GroupAdmit, EnginePlacesGroupOnOneShard) {
-  EngineOptions opts;
-  opts.shards = 3;
-  opts.placement = PlacementPolicy::WorstFit;
-  AdmissionEngine engine(opts);
-  const std::vector<Task> g{tk(1, 8, 8), tk(2, 16, 16), tk(1, 4, 8)};
-  const GroupPlacement p = engine.admit_group(g);
-  ASSERT_TRUE(p.admitted);
-  ASSERT_EQ(p.ids.size(), 3u);
-  for (const GlobalTaskId id : p.ids) {
-    EXPECT_EQ(id.shard, p.shard);  // co-scheduled on a single shard
-  }
-  const EngineStats s = engine.stats();
-  EXPECT_EQ(s.admission.groups, 1u);
-  EXPECT_EQ(s.resident, 3u);
-  for (const GlobalTaskId id : p.ids) EXPECT_TRUE(engine.remove(id));
-  EXPECT_EQ(engine.stats().resident, 0u);
-}
-
 TEST(GroupAdmit, ReplayDrivesGroupTraces) {
   ChurnConfig churn;
   churn.warmup_arrivals = 20;
@@ -317,11 +293,6 @@ TEST(GroupAdmit, ReplayDrivesGroupTraces) {
   EXPECT_GT(stats.groups, 0u);
   EXPECT_EQ(stats.admitted + stats.rejected, stats.arrivals);
   EXPECT_TRUE(ctl.verify_consistency());
-  // And through a sharded engine.
-  AdmissionEngine engine(EngineOptions{.shards = 2, .admission = opts});
-  const ReplayStats estats = replay_trace(trace, engine);
-  EXPECT_EQ(estats.admitted + estats.rejected, estats.arrivals);
-  EXPECT_GE(estats.admitted, stats.admitted);  // two shards fit more
 }
 
 TEST(GroupAdmit, GroupCertificateCoverIsSound) {
@@ -414,83 +385,6 @@ TEST(EpochReads, StoreHeaderReflectsCounters) {
   (void)recover(ctl, "", "");
   EXPECT_EQ(ctl.demand_header().epoch, e0 + 4);
   EXPECT_EQ(ctl.demand_header().residents, 0u);
-}
-
-TEST(EpochReads, EngineStatsConsistentWithoutShardLocks) {
-  // Writers churn the engine while readers poll stats() — which takes
-  // no shard mutex. Per-shard publications are atomic snapshots, so
-  // the composed counters must satisfy the bookkeeping identities at
-  // every single read.
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.admission.skip_exact = true;
-  AdmissionEngine engine(opts);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        const EngineStats s = engine.stats();
-        EXPECT_EQ(s.admission.arrivals,
-                  s.admission.admitted + s.admission.rejected);
-        EXPECT_EQ(s.resident, static_cast<std::size_t>(
-                                  s.admission.admitted -
-                                  s.admission.removals));
-        std::uint64_t decisions = 0;
-        for (const std::uint64_t c : s.admission.by_rung) decisions += c;
-        EXPECT_GE(s.admission.arrivals, decisions);  // groups batch tasks
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 2; ++w) {
-    writers.emplace_back([&, w] {
-      Rng rng(1000 + static_cast<std::uint64_t>(w));
-      std::vector<GlobalTaskId> live;
-      std::vector<Task> pool;
-      for (int op = 0; op < 1500; ++op) {
-        if (pool.empty()) {
-          const TaskSet ts = draw_small_set(rng, 0.8);
-          pool.assign(ts.begin(), ts.end());
-        }
-        if (!live.empty() && (live.size() > 40 || rng.bernoulli(0.4))) {
-          const std::size_t pick = static_cast<std::size_t>(
-              rng.uniform_time(0, static_cast<Time>(live.size()) - 1));
-          (void)engine.remove(live[pick]);
-          live[pick] = live.back();
-          live.pop_back();
-        } else if (op % 7 == 0) {
-          const std::vector<Task> group{pool.back(), pool.back()};
-          pool.pop_back();
-          const GroupPlacement p = engine.admit_group(group);
-          if (p.admitted) {
-            live.insert(live.end(), p.ids.begin(), p.ids.end());
-          }
-        } else {
-          const PlacementDecision p = engine.admit(pool.back());
-          pool.pop_back();
-          if (p.admitted) live.push_back(p.id);
-        }
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  stop.store(true);
-  for (std::thread& t : readers) t.join();
-  EXPECT_GT(reads.load(), 100u);
-
-  // Quiesced: the wait-free snapshot equals the fully locked one.
-  const EngineStats a = engine.stats();
-  const EngineStats b = engine.stats_locked();
-  EXPECT_EQ(a.admission.arrivals, b.admission.arrivals);
-  EXPECT_EQ(a.admission.admitted, b.admission.admitted);
-  EXPECT_EQ(a.admission.removals, b.admission.removals);
-  EXPECT_EQ(a.admission.groups, b.admission.groups);
-  EXPECT_EQ(a.resident, b.resident);
 }
 
 }  // namespace

@@ -74,25 +74,7 @@ TEST(Replay, ControllerStatsAddUp) {
   EXPECT_GT(s.peak_utilization, 0.0);
   // The invariant after the whole trace.
   EXPECT_TRUE(ctl.empty() || ctl.analyze_resident().feasible());
-}
-
-TEST(Replay, EngineMatchesAccounting) {
-  ChurnConfig cfg;
-  cfg.events = 300;
-  cfg.family = ChurnConfig::Family::Small;
-  Rng rng(13);
-  const auto trace = generate_churn_trace(rng, cfg);
-
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.workers = 1;
-  AdmissionEngine engine(opts);
-  const ReplayStats s = replay_trace(trace, engine);
-  EXPECT_EQ(s.admitted + s.rejected, s.arrivals);
-  EXPECT_EQ(engine.stats().resident,
-            s.admitted - (s.departures - s.skipped_departures));
-  const std::string rendered = s.to_string();
-  EXPECT_NE(rendered.find("arrivals="), std::string::npos);
+  EXPECT_NE(s.to_string().find("arrivals="), std::string::npos);
 }
 
 TEST(Replay, FixedFamilyHonorsTaskCount) {

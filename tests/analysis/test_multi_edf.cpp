@@ -1,8 +1,8 @@
 /// \file test_multi_edf.cpp
 /// The multiprocessor acceptance suite: every global-EDF sufficient test
-/// cross-validated against the m-processor simulation oracle, the
-/// global-vs-partitioned admission differentials, and mutation fuzzing
-/// of MultiprocessorCertificates.
+/// cross-validated against the m-processor simulation oracle, global
+/// admission on the cases partitioned placement decides the other way,
+/// and mutation fuzzing of MultiprocessorCertificates.
 ///
 /// Soundness direction: a sufficient test answering Feasible on a set
 /// the oracle refutes (a miss under the synchronous-periodic arrival
@@ -22,7 +22,6 @@
 #include "../helpers.hpp"
 #include "multi_reference.hpp"
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "query/certificate.hpp"
 #include "query/query.hpp"
 #include "sim/oracle.hpp"
@@ -171,41 +170,21 @@ TEST(GlobalOracleFuzz, NoSufficientTestContradictsTheSimulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission differentials: global vs partitioned are incomparable —
-// each admits a workload the other rejects.
+// Global admission against partitioned placement: the two are
+// incomparable — each admits a workload the other rejects.
 // ---------------------------------------------------------------------------
 
 TEST(GlobalAdmission, GlobalAdmitsWhatFragmentedPartitionsReject) {
-  // Churn fragmentation: two heavy tasks fill two shards, a light task
-  // lands beside each; removing the heavies strands 0.1 utilization on
-  // each shard. A re-arriving {heavy, light, light} group then fits on
-  // no single shard (0.1 + 1.1 > 1) — but the global view of the same
-  // two processors schedules it: lights run [0, 2) on both processors,
-  // the heavy takes the remaining 18 ticks of its window.
+  // Churn fragmentation: two heavy tasks fill two processors, a light
+  // task lands beside each; removing the heavies strands 0.1
+  // utilization on each. A re-arriving {heavy, light, light} group
+  // (U = 1.2) fits on no single processor of a partitioned placement —
+  // but the global view of the same two processors schedules it:
+  // lights run [0, 2) on both processors, the heavy takes the remaining
+  // 18 ticks of its window.
   const Task heavy = tk(18, 20, 20);
   const Task light = tk(2, 20, 20);
 
-  EngineOptions eo;
-  eo.shards = 2;
-  AdmissionEngine engine(eo);
-  const PlacementDecision h1 = engine.admit(heavy);
-  const PlacementDecision h2 = engine.admit(heavy);
-  const PlacementDecision l1 = engine.admit(light);
-  const PlacementDecision l2 = engine.admit(light);
-  ASSERT_TRUE(h1.admitted);
-  ASSERT_TRUE(h2.admitted);
-  ASSERT_TRUE(l1.admitted);
-  ASSERT_TRUE(l2.admitted);
-  ASSERT_NE(h1.id.shard, h2.id.shard);  // the heavies cannot share a shard
-  ASSERT_TRUE(engine.remove(h1.id));
-  ASSERT_TRUE(engine.remove(h2.id));
-
-  const std::vector<Task> group = {heavy, light, light};
-  const GroupPlacement gp = engine.admit_group(group);
-  EXPECT_FALSE(gp.admitted);  // no shard holds U = 1.2
-
-  // The global controller sees the same arrival history against the
-  // same two processors and admits the group.
   AdmissionOptions ao;
   ao.platform = Platform{2};
   ao.return_certificate = true;
@@ -219,6 +198,7 @@ TEST(GlobalAdmission, GlobalAdmitsWhatFragmentedPartitionsReject) {
   ASSERT_TRUE(global.remove(gh1.id));
   ASSERT_TRUE(global.remove(gh2.id));
 
+  const std::vector<Task> group = {heavy, light, light};
   const GroupDecision gd = global.admit_group(group);
   EXPECT_TRUE(gd.admitted);
   // Every global-mode accept carries a verifying certificate.
@@ -232,7 +212,8 @@ TEST(GlobalAdmission, GlobalAdmitsWhatFragmentedPartitionsReject) {
 TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
   // The Dhall effect: under global EDF the two light tasks preempt both
   // processors together, starving the heavy task (24 < 25 by t = 30).
-  // Partitioned placement isolates the heavy task on its own shard.
+  // Partitioned placement would isolate the heavy task on a processor
+  // of its own (U = 5/6 there, 2/5 on the other).
   const Task light = tk(1, 5, 5);
   const Task heavy = tk(25, 30, 30);
 
@@ -249,13 +230,6 @@ TEST(GlobalAdmission, PartitionedAdmitsWhatGlobalRejects) {
     EXPECT_TRUE(rejected.certificate.multiprocessor());
   }
   EXPECT_EQ(global.resident().size(), 2u);  // rollback left the set intact
-
-  EngineOptions eo;
-  eo.shards = 2;
-  AdmissionEngine engine(eo);
-  ASSERT_TRUE(engine.admit(light).admitted);
-  ASSERT_TRUE(engine.admit(light).admitted);
-  EXPECT_TRUE(engine.admit(heavy).admitted);
 }
 
 TEST(GlobalAdmission, ResidentRecheckRunsThePlatformsOwnLadder) {
@@ -282,31 +256,6 @@ TEST(GlobalAdmission, ResidentRecheckRunsThePlatformsOwnLadder) {
       uni.analyze_resident(TestKind::ProcessorDemand);
   EXPECT_TRUE(r.feasible());
   EXPECT_EQ(r.iterations, exact.iterations);
-}
-
-TEST(GlobalAdmission, EngineGlobalModeCoercesToOneController) {
-  EngineOptions eo;
-  eo.shards = 4;
-  eo.admission.platform = Platform{4};
-  eo.admission.return_certificate = true;
-  AdmissionEngine engine(eo);
-  EXPECT_TRUE(engine.global_mode());
-  EXPECT_EQ(engine.shards(), 1u);
-  EXPECT_EQ(engine.processors(), 4u);
-
-  // Density 1.8 <= 4 - 3 * 0.6: GFB admits all three on the one
-  // global controller, where a 4-shard partitioned engine would have
-  // spread them out.
-  for (int i = 0; i < 3; ++i) {
-    const PlacementDecision d = engine.admit(tk(6, 10, 10));
-    ASSERT_TRUE(d.admitted);
-    EXPECT_EQ(d.id.shard, 0u);
-  }
-  EngineStats stats;
-  engine.stats_into(stats);
-  EXPECT_TRUE(stats.global);
-  EXPECT_EQ(stats.processors, 4u);
-  EXPECT_EQ(stats.resident, 3u);
 }
 
 // ---------------------------------------------------------------------------

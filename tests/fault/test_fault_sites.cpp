@@ -274,6 +274,43 @@ TEST_F(QuarantineTest, RetryableFaultRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(QuarantineTest, FailedFirstCheckpointQuarantinesAtHello) {
+  const std::string dir = temp_dir();
+  obs::Obs obs;
+  ServerOptions so;
+  so.tenants.data_dir = dir;
+  so.reprobe_interval_ms = 30;
+  Server server(so, &obs);
+  Client client = Client::connect("127.0.0.1", server.port());
+
+  // A new durable tenant snapshots before its first record. When that
+  // snapshot fails, HELLO still succeeds and the tenant opens
+  // quarantined, exactly as after a failed periodic checkpoint.
+  fault::point("snapshot.rename").arm(fault::Mode::Once, 1, 0.0, 1, EACCES);
+  ASSERT_EQ(status_of(round_trip(server, client, hello_durable("t"))),
+            NetStatus::Ok);
+  Tenant* t = server.tenants().find("t");
+  ASSERT_NE(t, nullptr);
+  EXPECT_TRUE(t->quarantined());
+  EXPECT_TRUE(t->quarantine_retryable());
+  auto& reg = obs.registry();
+  EXPECT_EQ(reg.counter_value("net_tenant_quarantines_total"), 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/t.snap"));
+
+  // The re-probe retries the checkpoint; then the tenant serves.
+  for (int i = 0; i < 100 && t->quarantined(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    pump(server, 1);
+  }
+  EXPECT_FALSE(t->quarantined());
+  EXPECT_EQ(reg.counter_value("net_tenant_unquarantines_total"), 1u);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/t.snap"));
+  EXPECT_EQ(status_of(round_trip(server, client, admit_request(tk(1, 8, 8)))),
+            NetStatus::Ok);
+
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(QuarantineTest, FaultIsIsolatedToOneTenant) {
   const std::string dir = temp_dir();
   obs::Obs obs;

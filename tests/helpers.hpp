@@ -59,8 +59,8 @@ inline std::vector<TaskSet> paper_random_sets(int count, double utilization,
 }
 
 /// Snapshot section ids (admission/snapshot.cpp) the tests patch.
+inline constexpr std::uint32_t kMetaSection = 1;
 inline constexpr std::uint32_t kControllerSection = 2;
-inline constexpr std::uint32_t kEngineSection = 3;
 
 /// Overwrite `width` bytes at `offset` inside the first section `id` of
 /// a snapshot image with `value` (little-endian) and re-seal the section

@@ -1,8 +1,9 @@
 /// End-to-end tests for the admission network server: protocol guards,
 /// backpressure, the frame fuzzer (torn/oversized/corrupt/interleaved
 /// frames must never crash the loop, leak a connection, or mis-frame a
-/// later valid request), and the socket-vs-in-process differential —
-/// including a server kill+recover mid-trace.
+/// later valid request), the socket-vs-in-process differential —
+/// including a server kill+recover mid-trace — and the first snapshot
+/// every new durable tenant writes, which carries its options to disk.
 ///
 /// Most tests drive the event loop deterministically from the test
 /// thread via Server::poll_once (the client's blocking socket calls are
@@ -28,6 +29,7 @@
 
 #include "admission/controller.hpp"
 #include "admission/replay.hpp"
+#include "admission/snapshot.hpp"
 #include "helpers.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
@@ -732,6 +734,44 @@ TEST(ServerDifferential, SocketMatchesInProcessAcrossRestart) {
   server->stop();
   loop.join();
   server.reset();
+  std::filesystem::remove_all(dir);
+}
+
+/// The journal records operations, not the options they ran under. A
+/// new durable tenant snapshots before its first record, so recovery
+/// and edfkit_fsck read its platform from disk even when no periodic
+/// checkpoint ever ran.
+TEST(ServerDurability, NewTenantSnapshotsItsOptionsBeforeItsFirstRecord) {
+  const std::string dir = temp_dir();
+  ServerOptions opts;
+  opts.tenants.data_dir = dir;  // checkpoint_every = 0: none periodic
+  Server server(opts);
+  Client client = Client::connect("127.0.0.1", server.port());
+  NetRequest hello = hello_request("g4");
+  hello.platform_m = 4;
+  ASSERT_EQ(status_of(round_trip(server, client, std::move(hello))),
+            NetStatus::Ok);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(status_of(round_trip(server, client,
+                                   admit_request(tk(3, 10, 10)))),
+              NetStatus::Ok)
+        << "arrival " << i;
+  }
+  // U = 1.5: one processor could not hold them.
+  const AdmissionController& live = server.tenants().find("g4")->controller();
+  ASSERT_EQ(live.size(), 5u);
+
+  const std::string snap = dir + "/g4.snap";
+  ASSERT_TRUE(std::filesystem::exists(snap));
+  AdmissionController loaded;
+  EXPECT_EQ(load_snapshot(loaded, snap).journal_lsn, 0u);
+  EXPECT_EQ(loaded.options().platform.m, 4u);
+  EXPECT_TRUE(loaded.empty());
+
+  AdmissionController recovered(loaded.options());
+  const RecoveryResult rec = recover(recovered, snap, dir + "/g4.wal");
+  EXPECT_EQ(rec.replayed, 5u);
+  EXPECT_EQ(store_digest(recovered), store_digest(live));
   std::filesystem::remove_all(dir);
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "admission/replay.hpp"
 #include "helpers.hpp"
 #include "obs/obs.hpp"
@@ -143,46 +142,6 @@ TEST(ObsInstrumentation, StatsToJsonCarriesTheNewFields) {
   EXPECT_NE(aj.find("\"admitted\":1"), std::string::npos);
   EXPECT_NE(aj.find("\"by_rung\""), std::string::npos);
   EXPECT_NE(aj.find("\"total_effort\""), std::string::npos);
-
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.workers = 1;
-  AdmissionEngine engine(opts);
-  (void)engine.admit(testing::tk(1, 10, 10));
-  const EngineStats es = engine.stats();
-  const std::string ej = es.to_json();
-  EXPECT_NE(ej.find("\"admission\":"), std::string::npos);
-  EXPECT_NE(ej.find("\"stats_read_retries\":"), std::string::npos);
-  EXPECT_NE(ej.find("\"shards\":["), std::string::npos);
-}
-
-/// stats_into reports the cumulative lapped-reader retry count; an
-/// uncontended read stream stays at zero, and the engine metrics
-/// mirror whatever the total is.
-TEST(ObsInstrumentation, EngineStatsReadRetriesAccumulate) {
-  obs::Obs obs;
-  EngineOptions opts;
-  opts.shards = 2;
-  opts.workers = 1;
-  AdmissionEngine engine(opts);
-  engine.attach_obs(&obs);
-  const std::vector<TraceEvent> trace = churn(31, 300);
-  const ReplayStats rs = replay_trace(trace, engine, &obs);
-  const EngineStats es = engine.stats();
-  EXPECT_EQ(es.stats_read_retries,
-            obs.registry().counter_value("engine_stats_read_retries_total"));
-
-  // Engine placement counters account for the decision stream: every
-  // decision is either a single or a group placement request, and
-  // rejects are the subset no shard accepted.
-  std::uint64_t decisions = 0;
-  for (const std::uint64_t n : rs.by_rung) decisions += n;
-  const obs::MetricsRegistry& reg = obs.registry();
-  EXPECT_EQ(reg.counter_value("engine_placements_total") +
-                reg.counter_value("engine_group_placements_total"),
-            decisions);
-  EXPECT_LE(reg.counter_value("engine_placement_rejects_total"), decisions);
-  EXPECT_EQ(reg.histogram_snapshot("engine_placement_ns").count, decisions);
 }
 
 /// Journal counters and histograms describe the same appends: one

@@ -1,7 +1,9 @@
 /// \file test_journal.cpp
 /// Durable admission state, journal half: CRC-per-record framing, the
-/// torn-tail-vs-corruption distinction, and every recovery composition
-/// (snapshot + suffix, snapshot-only, journal-only cold, nothing).
+/// torn-tail-vs-corruption distinction, every recovery composition
+/// (snapshot + suffix, snapshot-only, journal-only cold, nothing), the
+/// refusal of unknown record tags, and a failed append leaving the
+/// controller untouched.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +16,7 @@
 
 #include "admission/replay.hpp"
 #include "admission/snapshot.hpp"
+#include "fault/fault.hpp"
 #include "helpers.hpp"
 #include "persist/format.hpp"
 #include "persist/journal.hpp"
@@ -437,6 +440,61 @@ TEST(Recovery, TornJournalTailRecoversThePrefix) {
   EXPECT_EQ(rec.replayed, 1u);
   EXPECT_EQ(rec_ctl.size(), 1u);
   EXPECT_TRUE(rec_ctl.verify_consistency());
+  std::remove(wal.c_str());
+}
+
+TEST(Recovery, RetiredEngineRecordTagsAreRefused) {
+  // Tags 16-18 were the sharded engine's committed-placement records,
+  // retired with it; replaying one is an unknown record, not a no-op.
+  const std::string wal = temp_path("retired.wal");
+  for (const int tag : {16, 17, 18}) {
+    std::remove(wal.c_str());
+    {
+      persist::Journal j = persist::Journal::create(wal);
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(tag));
+      w.u32(0);  // shard
+      w.u64(1);  // id
+      (void)j.append(w.data());
+    }
+    AdmissionController ctl;
+    try {
+      (void)recover(ctl, "", wal);
+      ADD_FAILURE() << "tag " << tag << " replayed";
+    } catch (const persist::PersistError& e) {
+      EXPECT_EQ(e.code(), persist::PersistErrc::BadValue) << tag;
+    }
+  }
+  std::remove(wal.c_str());
+}
+
+TEST(Recovery, FailedAppendLeavesTheControllerUnchanged) {
+  const std::string wal = temp_path("failed_append.wal");
+  std::remove(wal.c_str());
+  AdmissionController ctl(fast_options());
+  persist::Journal j = persist::Journal::create(wal);
+  ctl.attach_journal(&j);
+  ASSERT_TRUE(ctl.try_admit(tk(1, 10, 10)).admitted);
+  const std::string stats = ctl.stats().to_json();
+  const std::uint32_t digest = store_digest(ctl);
+  const std::uint64_t lsn = j.lsn();
+
+  fault::point("journal.append.write").arm(fault::Mode::Once);
+  EXPECT_THROW((void)ctl.try_admit(tk(2, 10, 10)), persist::PersistError);
+  fault::disarm_all();
+  EXPECT_EQ(ctl.stats().to_json(), stats);
+  EXPECT_EQ(ctl.size(), 1u);
+  EXPECT_EQ(store_digest(ctl), digest);
+  EXPECT_EQ(j.lsn(), lsn);
+
+  // The failure was retryable: the offer lands on retry, and the
+  // journal still recovers the controller bit-identically.
+  ASSERT_TRUE(ctl.try_admit(tk(2, 10, 10)).admitted);
+  ctl.attach_journal(nullptr);
+  AdmissionController recovered(fast_options());
+  (void)recover(recovered, "", wal);
+  expect_same_store(ctl, recovered);
+  EXPECT_EQ(store_digest(recovered), store_digest(ctl));
   std::remove(wal.c_str());
 }
 

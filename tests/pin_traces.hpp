@@ -2,8 +2,7 @@
 /// Fixed-seed churn traces shared by the decision pin
 /// (admission/test_decision_pin.cpp) and the snapshot read-compat test
 /// (persist/test_snapshot_compat.cpp), plus the driver both use to step
-/// a controller or an engine through them (the engine recovery tests in
-/// admission/test_engine.cpp drive their own traces with it too). The traces come from
+/// a controller through them. The traces come from
 /// generate_churn_trace with fixed seeds, so the same event stream is
 /// produced by every build of the library; the driver folds every
 /// decision into a 64-bit FNV-1a digest (admitted, rung, verdict, ids,
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "admission/controller.hpp"
-#include "admission/engine.hpp"
 #include "admission/replay.hpp"
 
 namespace edfkit::testing {
@@ -92,24 +90,12 @@ struct PinTrace {
 
 /// A snapshot read-compat case: the image `file` (tests/data/) holds
 /// the state after the first `split` events of `trace`, written by the
-/// library at snapshot format v2. `shards` > 0 marks an engine image
-/// (WorstFit placement over that many shards, one worker).
+/// library at snapshot format v2.
 struct CompatTrace {
   const char* file;
   PinTrace trace;
   std::size_t split;
-  std::size_t shards;
 };
-
-[[nodiscard]] inline EngineOptions compat_engine_options(
-    const CompatTrace& c) {
-  EngineOptions e;
-  e.shards = c.shards;
-  e.placement = PlacementPolicy::WorstFit;
-  e.admission = c.trace.options;
-  e.workers = 1;
-  return e;
-}
 
 [[nodiscard]] inline std::vector<CompatTrace> compat_traces() {
   // Options away from their defaults, so their v2 decode is exercised
@@ -118,15 +104,9 @@ struct CompatTrace {
   AdmissionOptions global;
   global.platform.m = 4;
   global.return_certificate = true;
-  AdmissionOptions engine;
-  engine.skip_exact = true;
-  engine.utilization_cap = 0.9;
   return {
       {"snapshot_v2_global.bin",
-       {"global", global, pin_churn(15, 0.99, 60, 200, 0.15, 3), 42}, 150,
-       0},
-      {"snapshot_v2_engine.bin",
-       {"engine", engine, pin_churn(12, 0.9, 30, 160, 0.2, 3), 43}, 120, 3},
+       {"global", global, pin_churn(15, 0.99, 60, 200, 0.15, 3), 42}, 150},
   };
 }
 
@@ -182,52 +162,6 @@ struct PinDriver {
           if (live[i].first != ev.key) continue;
           digest.add(3);
           digest.add(ctl.remove_group(live[i].second));
-          live[i] = std::move(live.back());
-          live.pop_back();
-          break;
-        }
-        break;
-      case TraceOp::Crash:
-        break;
-    }
-  }
-};
-
-/// The engine counterpart of PinDriver (placement decisions; departures
-/// withdraw every id the arrival placed).
-struct EnginePinDriver {
-  AdmissionEngine& engine;
-  Fnv64 digest;
-  std::vector<std::pair<std::uint64_t, std::vector<GlobalTaskId>>> live;
-
-  void step(const TraceEvent& ev) {
-    switch (ev.op) {
-      case TraceOp::Arrive: {
-        const PlacementDecision d = engine.admit(ev.task);
-        digest.add(d.admitted ? 1 : 0);
-        digest.add(static_cast<std::uint64_t>(d.rung));
-        digest.add(d.id.shard);
-        digest.add(d.id.local);
-        if (d.admitted) {
-          live.emplace_back(ev.key, std::vector<GlobalTaskId>{d.id});
-        }
-        break;
-      }
-      case TraceOp::ArriveGroup: {
-        GroupPlacement d = engine.admit_group(ev.group);
-        digest.add(d.admitted ? 1 : 0);
-        digest.add(static_cast<std::uint64_t>(d.rung));
-        digest.add(d.shard);
-        for (const GlobalTaskId& id : d.ids) digest.add(id.local);
-        if (d.admitted) live.emplace_back(ev.key, std::move(d.ids));
-        break;
-      }
-      case TraceOp::Depart:
-        for (std::size_t i = 0; i < live.size(); ++i) {
-          if (live[i].first != ev.key) continue;
-          for (const GlobalTaskId& id : live[i].second) {
-            digest.add(engine.remove(id) ? 1 : 0);
-          }
           live[i] = std::move(live.back());
           live.pop_back();
           break;
