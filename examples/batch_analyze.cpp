@@ -20,11 +20,11 @@
 /// backends become selectable the moment they register.
 ///
 /// `--ladder` selects exactly the tests the online AdmissionController
-/// escalates through (utilization bound -> epsilon-approximate ->
-/// exact fallback; see query/query.hpp default_ladder_kinds), so an
-/// offline batch previews which rung would settle each set at admission
-/// time. `--epsilon` tunes the approximate rung and `--fallback` names
-/// the exact rung (any exact backend).
+/// escalates through (utilization bound -> epsilon-approximate -> qpa;
+/// see query/query.hpp default_ladder_kinds), so an offline batch
+/// previews which rung would settle each set at admission time.
+/// `--epsilon` tunes the approximate rung; `--fallback` swaps another
+/// exact backend in for qpa (same verdicts, different effort).
 ///
 /// Without file arguments it demonstrates on the built-in literature
 /// sets (paper Table 1).

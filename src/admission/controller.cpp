@@ -291,17 +291,10 @@ std::string AdmissionStats::to_json() const {
 }
 
 AdmissionController::AdmissionController(AdmissionOptions opts)
-    : opts_(opts), demand_(opts.epsilon, opts.use_slack_index) {
+    : opts_(opts), demand_(opts.epsilon) {
   if (!platform_valid(opts_.platform)) {
     throw std::invalid_argument("AdmissionController: invalid platform " +
                                 edfkit::to_string(opts_.platform));
-  }
-  // The fallback kind only runs on the uniprocessor ladder; global mode
-  // closes with RTA + simulation instead.
-  if (!opts_.skip_exact && opts_.platform.uniprocessor() &&
-      !is_exact(opts_.exact_fallback)) {
-    throw std::invalid_argument(
-        "AdmissionController: exact_fallback must be an exact test kind");
   }
 }
 
@@ -363,16 +356,6 @@ GroupDecision AdmissionController::decide(std::span<const Task> tasks,
     // invariant) feasible.
     d.analysis.verdict = Verdict::Feasible;
     return settle(true, AdmissionRung::Structural);
-  }
-
-  // Policy gate: no analysis, verdict stays Unknown. The utilization
-  // cap is a fraction of platform capacity (m processors).
-  if (opts_.utilization_cap < 1.0) {
-    double u = demand_.utilization_double();
-    for (const Task& t : tasks) u += t.utilization_double();
-    if (u > opts_.utilization_cap * static_cast<double>(opts_.platform.m)) {
-      return settle(false, AdmissionRung::Structural);
-    }
   }
 
   // Every rejecting rung below withdraws the tentative inserts
@@ -484,11 +467,11 @@ GroupDecision AdmissionController::decide(std::span<const Task> tasks,
     return settle(false, AdmissionRung::Approximate);
   }
 
-  // Rung 3: exact fallback over the widened resident set, zero-copy —
-  // the only from-scratch rung, for borderline sets.
+  // Rung 3: QPA over the widened resident set, zero-copy — the only
+  // from-scratch rung, for borderline sets.
   probe.enter(AdmissionRung::Exact);
   const FeasibilityResult exact =
-      query_exact(demand_.resident(), opts_.exact_fallback);
+      query_exact(demand_.resident(), TestKind::Qpa);
   d.analysis.verdict = exact.verdict;
   d.analysis.iterations += exact.iterations;
   d.analysis.revisions += exact.revisions;

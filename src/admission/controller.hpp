@@ -11,9 +11,9 @@
 ///   2. Approximate demand — one O(n*k) checkpoint scan of the
 ///      epsilon-approximated dbf' (incremental_dbf.hpp). A pass is a
 ///      feasibility proof (sound accept); a fail escalates.
-///   3. Exact fallback — a configurable exact test (QPA by default)
-///      over the resident set; this is the only rung that pays
-///      from-scratch cost, and only borderline sets reach it.
+///   3. Exact — QPA over the resident set; this is the only rung that
+///      pays from-scratch cost, and only borderline sets reach it. (The
+///      exact tests differ in effort, not verdict, so one suffices.)
 ///
 /// try_admit and admit_group share one decision function: a single
 /// arrival is decided as a one-task group.
@@ -77,10 +77,10 @@ struct AdmissionInstruments;
 
 /// Which ladder rung produced a decision.
 enum class AdmissionRung : std::uint8_t {
-  Structural,   ///< capacity policy (utilization_cap), no analysis
+  Structural,   ///< the empty group: vacuously admitted, no analysis
   Utilization,  ///< rung 1: exact U-vs-1 classification
   Approximate,  ///< rung 2: epsilon-approximate demand scan
-  Exact,        ///< rung 3: exact fallback test
+  Exact,        ///< rung 3: exact test (QPA)
 };
 inline constexpr std::size_t kAdmissionRungs = 4;
 
@@ -92,27 +92,13 @@ struct AdmissionOptions {
   /// scans more checkpoints. (Refinement deepens individual tasks on
   /// demand, so the paper's standard 0.25 is a good default.)
   double epsilon = 0.25;
-  /// Exact test run, with its default parameters (default_params in
-  /// query/options.hpp), when the approximate rung cannot accept. Must
-  /// be a kind with is_exact() == true (checked at construction).
-  TestKind exact_fallback = TestKind::Qpa;
-  /// Policy headroom: reject arrivals that would push the utilization
-  /// estimate above this value, before any analysis. 1.0 disables.
-  double utilization_cap = 1.0;
   /// Skip rung 3 entirely: borderline arrivals are rejected after the
   /// approximate scan (bounded worst-case decision latency).
   bool skip_exact = false;
-  /// Cached-slack index for the approximate rung (incremental_dbf.hpp):
-  /// scans fast-forward over checkpoint buckets proven slack by earlier
-  /// scans. On, the index engages adaptively by resident count (small
-  /// sets never pay its maintenance). Off = the pre-index full-rescan
-  /// behavior (the perf_suite baseline); verdicts are identical either
-  /// way.
-  bool use_slack_index = true;
   /// Attach a machine-checkable certificate (query/certificate.hpp) to
   /// every decision that proves something: a feasibility certificate on
-  /// admits, an infeasibility certificate on proven rejects (policy and
-  /// Unknown rejects carry none). The caller — or a remote client, over
+  /// admits, an infeasibility certificate on proven rejects (Unknown
+  /// rejects carry none). The caller — or a remote client, over
   /// the wire — can then verify() the verdict independently against its
   /// own view of the set. Off by default: each admit pays one
   /// certificate-construction sweep over the resident set, and journal
@@ -120,10 +106,8 @@ struct AdmissionOptions {
   bool return_certificate = false;
   /// Execution platform. m == 1 (default) is the classic uniprocessor
   /// ladder; m > 1 switches the controller into *global* admission mode
-  /// (see the file comment). The utilization_cap policy gate scales with
-  /// m (a cap of 0.9 means 0.9 * m admitted utilization); epsilon and
-  /// exact_fallback apply only to the uniprocessor ladder. Serialized
-  /// with the controller.
+  /// (see the file comment). epsilon applies only to the uniprocessor
+  /// ladder. Serialized with the controller.
   Platform platform;
 };
 
@@ -134,15 +118,15 @@ struct AdmissionDecision {
   TaskId id = kInvalidTaskId;
   AdmissionRung rung = AdmissionRung::Structural;
   /// Verdict semantics: Feasible = proof the widened set is feasible;
-  /// Infeasible = proof it is not; Unknown = rejected by policy or by a
-  /// sufficient rung without an infeasibility proof.
+  /// Infeasible = proof it is not; Unknown = rejected by a sufficient
+  /// rung without an infeasibility proof.
   FeasibilityResult analysis;
   /// Monotone per-controller decision counter.
   std::uint64_t sequence = 0;
   /// With AdmissionOptions::return_certificate: feasibility certificate
   /// over the post-admit resident set, or infeasibility certificate for
-  /// a proven reject. kind == None otherwise (option off, policy gate,
-  /// or Unknown verdict).
+  /// a proven reject. kind == None otherwise (option off, or Unknown
+  /// verdict).
   Certificate certificate;
 
   [[nodiscard]] std::string to_string() const;
@@ -188,8 +172,8 @@ struct AdmissionStats {
 
 class AdmissionController {
  public:
-  /// \throws std::invalid_argument on non-exact fallback kind, an
-  /// epsilon outside (0, 1], or an invalid platform.
+  /// \throws std::invalid_argument on an epsilon outside (0, 1] or an
+  /// invalid platform.
   explicit AdmissionController(AdmissionOptions opts = {});
 
   /// True when the controller admits against m > 1 processors under
@@ -201,9 +185,9 @@ class AdmissionController {
     return opts_.platform;
   }
 
-  /// Admit `t` iff the widened resident set is provably EDF-feasible
-  /// (subject to the policy gates). On rejection the resident set is
-  /// unchanged. \throws std::invalid_argument for invalid tasks.
+  /// Admit `t` iff the widened resident set is provably EDF-feasible.
+  /// On rejection the resident set is unchanged. \throws
+  /// std::invalid_argument for invalid tasks.
   [[nodiscard]] AdmissionDecision try_admit(const Task& t);
 
   /// Admit the whole group atomically (all-or-nothing): the group's

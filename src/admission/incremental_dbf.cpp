@@ -130,9 +130,8 @@ void accumulate(ScaledPair& dst, const ScaledPair& src, int sign) {
 
 }  // namespace
 
-IncrementalDemand::IncrementalDemand(double epsilon, bool use_slack_index)
-    : use_slack_index_(use_slack_index),
-      engage_at_(kIndexOnResidents),
+IncrementalDemand::IncrementalDemand(double epsilon)
+    : engage_at_(kIndexOnResidents),
       disengage_below_(kIndexOffResidents) {
   if (!(epsilon > 0.0) || epsilon > 1.0) {
     throw std::invalid_argument(
@@ -157,7 +156,6 @@ void IncrementalDemand::set_index_thresholds(std::size_t engage_at,
 }
 
 void IncrementalDemand::update_index_engagement() {
-  if (!use_slack_index_) return;  // manual override: hard off
   if (!index_engaged_ && view_.size() >= engage_at_) {
     index_engaged_ = true;  // bounds start dirty; the next scan measures
   } else if (index_engaged_ && view_.size() < disengage_below_) {
@@ -1266,7 +1264,7 @@ void IncrementalDemand::rebuild() {
 }
 
 bool IncrementalDemand::matches_rebuild() const {
-  IncrementalDemand fresh(epsilon(), /*use_slack_index=*/false);
+  IncrementalDemand fresh(epsilon());
   fresh.k_ = k_;
   const std::span<const Task> rows = view_.tasks();
   for (std::size_t row = 0; row < rows.size(); ++row) {

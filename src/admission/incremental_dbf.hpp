@@ -88,10 +88,10 @@
 /// off once the store is large, so the index *engages* with hysteresis
 /// on the resident count (on at >= kIndexOnResidents, off below
 /// kIndexOffResidents — churn across one threshold cannot thrash).
-/// While disengaged (or with `use_slack_index` false — the manual
-/// override and bench baseline) everything lives in one segment, no
-/// bounds are maintained, and every scan walks end to end — byte-for-
-/// byte the pre-index behavior.
+/// While disengaged everything lives in one segment, no bounds are
+/// maintained, and every scan walks end to end; verdicts are the same
+/// either way. set_index_thresholds() moves the thresholds (tests and
+/// benches pin a store engaged or disengaged with it).
 ///
 /// Store header: header() assembles a small aggregate (resident and
 /// checkpoint counts, utilization, certificate ratio) from the members
@@ -181,12 +181,9 @@ struct StoreHeader {
 class IncrementalDemand {
  public:
   /// \pre 0 < epsilon <= 1. Initial steps per task: k = ceil(1/epsilon).
-  /// `use_slack_index` toggles the bucketed cached-slack index; off, every
-  /// scan walks the full checkpoint array (the pre-index behavior, kept
-  /// selectable as the bench baseline — see bench/perf_suite.cpp). On,
-  /// the index engages adaptively by resident count (see file header).
-  explicit IncrementalDemand(double epsilon = 0.25,
-                             bool use_slack_index = true);
+  /// The cached-slack index engages adaptively by resident count (see
+  /// the file header).
+  explicit IncrementalDemand(double epsilon = 0.25);
 
   /// Insert a task at level k; O(k log n + move). \throws
   /// std::invalid_argument (validate()).
@@ -237,7 +234,8 @@ class IncrementalDemand {
     return dead_steps_;
   }
   /// Override the index-engagement hysteresis (tests/bench: 0, 0
-  /// engages unconditionally). \pre disengage_below <= engage_at.
+  /// engages unconditionally; SIZE_MAX, SIZE_MAX never engages).
+  /// \pre disengage_below <= engage_at.
   void set_index_thresholds(std::size_t engage_at,
                             std::size_t disengage_below);
   /// Current approximation level of a resident task (>= k after
@@ -450,7 +448,6 @@ class IncrementalDemand {
   [[nodiscard]] DemandCheck do_check(std::uint64_t max_revisions);
 
   Time k_;
-  bool use_slack_index_;
   /// Hysteresis state of the cached-slack index (see file header).
   bool index_engaged_ = false;
   std::size_t engage_at_;

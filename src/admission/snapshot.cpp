@@ -65,7 +65,9 @@ void encode_meta(persist::SectionWriter& sw, SnapshotKind kind,
 
 /// Options the library dropped can keep their bytes in the format: v2
 /// carries the AdmissionOptions fields v3 dropped, and v3 still holds
-/// the two eager_compaction bytes, written as 0. An image loads only
+/// eager_compaction (written as 0), exact_fallback (Qpa),
+/// utilization_cap (1.0) and use_slack_index (1, in both the options
+/// and the demand section). An image loads only
 /// while each holds its old default — the value this library behaves
 /// as — and is refused otherwise rather than decided differently from
 /// the run that wrote it.
@@ -229,7 +231,7 @@ std::vector<std::uint8_t> client_mark(const std::string& client,
 struct SnapshotCodec {
   static void encode_demand(const IncrementalDemand& d, ByteWriter& w) {
     w.i64(d.k_);
-    w.boolean(d.use_slack_index_);
+    w.boolean(true);   // use_slack_index (dropped)
     w.boolean(false);  // eager_compaction (dropped)
     w.boolean(d.index_engaged_);
     w.u64(d.engage_at_);
@@ -301,7 +303,7 @@ struct SnapshotCodec {
     if (d.k_ < 1) {
       throw PersistError(PersistErrc::BadValue, "k < 1");
     }
-    d.use_slack_index_ = r.boolean();
+    expect_dropped_default(r.boolean(), "use_slack_index");
     expect_dropped_default(!r.boolean(), "eager_compaction");
     d.index_engaged_ = r.boolean();
     d.engage_at_ = r.u64();
@@ -411,10 +413,10 @@ struct SnapshotCodec {
                                 ByteWriter& w) {
     const AdmissionOptions& o = c.opts_;
     w.f64(o.epsilon);
-    w.u32(static_cast<std::uint32_t>(o.exact_fallback));
-    w.f64(o.utilization_cap);
+    w.u32(static_cast<std::uint32_t>(TestKind::Qpa));  // exact_fallback
+    w.f64(1.0);                                        // utilization_cap
     w.boolean(o.skip_exact);
-    w.boolean(o.use_slack_index);
+    w.boolean(true);   // use_slack_index (dropped)
     w.boolean(false);  // eager_compaction (dropped)
     w.boolean(o.return_certificate);
     w.u32(o.platform.m);
@@ -439,28 +441,20 @@ struct SnapshotCodec {
     const bool v2 = version == 2;
     AdmissionOptions o;
     o.epsilon = r.f64();
-    const std::uint32_t kind = r.u32();
-    if (kind > static_cast<std::uint32_t>(TestKind::DeviEnvelope)) {
-      throw PersistError(PersistErrc::BadValue, "exact_fallback kind");
-    }
-    o.exact_fallback = static_cast<TestKind>(kind);
+    expect_dropped_default(
+        r.u32() == static_cast<std::uint32_t>(TestKind::Qpa),
+        "exact_fallback");
     if (v2) decode_v2_analyzer(r);
-    o.utilization_cap = r.f64();
+    expect_dropped_default(r.f64() == 1.0, "utilization_cap");
     if (v2) expect_dropped_default(r.u64() == 0, "max_tasks");
     o.skip_exact = r.boolean();
-    o.use_slack_index = r.boolean();
+    expect_dropped_default(r.boolean(), "use_slack_index");
     expect_dropped_default(!r.boolean(), "eager_compaction");
     if (v2) expect_dropped_default(!r.boolean(), "rollback_refinements");
     o.return_certificate = r.boolean();
     o.platform.m = r.u32();
     if (!platform_valid(o.platform)) {
       throw PersistError(PersistErrc::BadValue, "platform processor count");
-    }
-    if (!o.skip_exact && o.platform.uniprocessor() &&
-        !is_exact(o.exact_fallback)) {
-      // Same invariant the constructor enforces.
-      throw PersistError(PersistErrc::BadValue,
-                         "exact_fallback is not an exact test kind");
     }
     c.opts_ = o;
 

@@ -130,8 +130,9 @@ inline constexpr std::uint8_t kFlagHasCertificate = 1u << 0;
 
 /// REPL_ACK condition flags (NetResponse::repl_flags).
 /// The follower cannot apply from the shipped LSN (gap, unknown
-/// tenant, or fresh follower behind the primary's rotated journal) —
-/// the shipper must REPL_SNAPSHOT before appending further.
+/// tenant, a tenant that has loaded no snapshot yet, or a fresh
+/// follower behind the primary's rotated journal) — the shipper must
+/// REPL_SNAPSHOT before appending further.
 inline constexpr std::uint8_t kReplNeedSnapshot = 1u << 0;
 /// A digest check failed: the follower's store is NOT bit-identical.
 /// It refuses further appends (and promotion) for this tenant until
@@ -189,9 +190,9 @@ struct NetRequest {
   /// primaries still verify within one interval).
   std::uint64_t digest_lsn = 0;
   std::uint32_t digest = 0;
-  /// ReplSnapshot: snapshot container bytes (empty = reset the
-  /// follower tenant to empty at repl_lsn 0) + dedup sidecar bytes
-  /// (empty = no sessions), as written by the primary's checkpoint.
+  /// ReplSnapshot: snapshot container bytes (required; empty is a
+  /// BadRequest) + dedup sidecar bytes (empty = no sessions), as
+  /// written by the primary's checkpoint.
   std::vector<std::uint8_t> repl_snapshot;
   std::vector<std::uint8_t> repl_dedup;
 };

@@ -685,6 +685,9 @@ void Server::serve_repl_hello(const NetRequest& req, NetResponse& resp) {
     resp.base_lsn = t.journal_base_lsn();
     resp.lsn = t.replica_lsn();
     resp.epoch = t.epoch();
+    // A new follower's options come with the primary's snapshot; none
+    // of its records may be applied before that.
+    if (!t.seeded()) resp.repl_flags |= kReplNeedSnapshot;
     if (t.diverged()) resp.repl_flags |= kReplDiverged;
     if (t.quarantined()) {
       fail(NetStatus::Unavailable);
@@ -708,8 +711,9 @@ void Server::serve_repl_append(const NetRequest& req, NetResponse& resp) {
     return;
   }
   Tenant* t = tenants_.find(req.tenant);
-  if (t == nullptr) {
-    // The shipper skipped REPL_HELLO (or we restarted): make it seed.
+  if (t == nullptr || !t->seeded()) {
+    // The shipper skipped REPL_HELLO (or we restarted), or the tenant
+    // lacks the primary's options: make it seed.
     resp.repl_flags |= kReplNeedSnapshot;
     return;
   }
@@ -781,8 +785,8 @@ void Server::serve_repl_snapshot(const NetRequest& req, NetResponse& resp) {
   const auto fail = [&](NetStatus s) {
     resp.hdr.status = static_cast<std::uint8_t>(s);
   };
-  if (!standby_) {
-    fail(NetStatus::BadRequest);
+  if (!standby_ || req.repl_snapshot.empty()) {
+    fail(NetStatus::BadRequest);  // a seed is a primary's checkpoint
     return;
   }
   Tenant* t = tenants_.find(req.tenant);

@@ -36,12 +36,12 @@ struct ShedOptions {
   std::size_t max_pending = 1024;
   /// Shed admits for a tenant whose resident count reached this. 0
   /// disables. (Shedding is "not now", invisible to admission stats —
-  /// unlike a policy reject such as AdmissionOptions::utilization_cap.)
+  /// unlike a ladder reject.)
   std::size_t max_residents = 0;
   /// Shed admits for a tenant whose certified utilization upper bound
   /// reached this fraction of its platform's capacity (headroom * m for
-  /// an m-processor tenant, as AdmissionOptions::utilization_cap).
-  /// >= 1.0 disables (the ladder itself settles U >= m).
+  /// an m-processor tenant). >= 1.0 disables (the ladder itself settles
+  /// U >= m).
   double utilization_headroom = 1.0;
   /// Retry hint stamped into Shed responses.
   std::uint32_t retry_after_ms = 50;

@@ -173,7 +173,8 @@ void Tenant::open_artifacts() {
   sessions_.clear();
   load_dedup();
   DedupRebuild rebuild(*this);
-  (void)recover(ctl_, snapshot_path_, journal_path_, &rebuild);
+  seeded_ =
+      recover(ctl_, snapshot_path_, journal_path_, &rebuild).snapshot_loaded;
   persist::JournalOptions jopts;
   jopts.fsync = fsync_;
   jopts.fsync_interval = fsync_interval_;
@@ -213,12 +214,7 @@ void Tenant::seed_from(std::span<const std::uint8_t> snapshot_bytes,
   if (!snapshot_path_.empty()) {
     // Persist the primary's artifacts verbatim first: a follower crash
     // after the seed recovers to exactly the seeded state.
-    if (snapshot_bytes.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(snapshot_path_, ec);
-    } else {
-      persist::write_file_atomic(snapshot_path_, snapshot_bytes);
-    }
+    persist::write_file_atomic(snapshot_path_, snapshot_bytes);
     if (dedup_bytes.empty()) {
       std::error_code ec;
       std::filesystem::remove(dedup_path_, ec);
@@ -226,14 +222,10 @@ void Tenant::seed_from(std::span<const std::uint8_t> snapshot_bytes,
       persist::write_file_atomic(dedup_path_, dedup_bytes);
     }
   }
-  if (snapshot_bytes.empty()) {
-    // A primary that never checkpointed seeds an empty store at LSN 0.
-    (void)recover(ctl_, "", "");
-  } else {
-    (void)load_snapshot_bytes(
-        ctl_, std::vector<std::uint8_t>(snapshot_bytes.begin(),
-                                        snapshot_bytes.end()));
-  }
+  (void)load_snapshot_bytes(
+      ctl_, std::vector<std::uint8_t>(snapshot_bytes.begin(),
+                                      snapshot_bytes.end()));
+  seeded_ = true;
   if (!dedup_bytes.empty()) {
     load_dedup_bytes(std::vector<std::uint8_t>(dedup_bytes.begin(),
                                                dedup_bytes.end()));

@@ -194,6 +194,12 @@ class Tenant {
   // primary bit for bit, which the digest exchange verifies.
 
   [[nodiscard]] bool standby() const noexcept { return standby_; }
+  /// True once the state came from a snapshot: this tenant's own on
+  /// disk, or a primary's seed. The journal records operations, not the
+  /// options they run under, so a standby without one answers
+  /// REPL_HELLO with kReplNeedSnapshot and applies no record until the
+  /// seed arrives.
+  [[nodiscard]] bool seeded() const noexcept { return seeded_; }
   /// Next record LSN apply_replicated() expects (== primary journal
   /// LSNs already applied).
   [[nodiscard]] std::uint64_t replica_lsn() const noexcept {
@@ -210,9 +216,8 @@ class Tenant {
   /// Discard all state and re-seed from a primary checkpoint: write
   /// the snapshot container + dedup sidecar bytes as this tenant's own
   /// artifacts, load them, and restart the WAL empty at base `lsn`.
-  /// Empty snapshot bytes reset to a fresh controller (a primary that
-  /// has never checkpointed). Clears divergence *and* quarantine — the
-  /// seed replaces whatever was broken. \throws PersistError
+  /// Clears divergence *and* quarantine — the seed replaces whatever
+  /// was broken. \pre snapshot_bytes is nonempty. \throws PersistError
   void seed_from(std::span<const std::uint8_t> snapshot_bytes,
                  std::span<const std::uint8_t> dedup_bytes,
                  std::uint64_t lsn);
@@ -278,6 +283,7 @@ class Tenant {
   bool quarantine_retryable_ = true;
   std::string quarantine_reason_;
   bool standby_ = false;
+  bool seeded_ = false;
   std::uint64_t repl_lsn_ = 0;
   bool diverged_ = false;
   std::string diverged_reason_;

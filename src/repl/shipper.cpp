@@ -102,7 +102,7 @@ void Shipper::handshake(TenantShip& t) {
   note_ack(t);
   if ((resp.repl_flags &
        (net::kReplNeedSnapshot | net::kReplDiverged)) != 0) {
-    seed_tenant(t);
+    (void)seed_tenant(t);
     return;
   }
   if (!t.tailer || t.tailer->next_lsn() != t.acked) {
@@ -110,19 +110,24 @@ void Shipper::handshake(TenantShip& t) {
   }
 }
 
-void Shipper::seed_tenant(TenantShip& t) {
+bool Shipper::seed_tenant(TenantShip& t) {
   const std::string snap_path =
       opts_.data_dir + "/" + t.name + ".snap";
   const std::string dedup_path =
       opts_.data_dir + "/" + t.name + ".dedup";
+  if (!persist::file_exists(snap_path)) {
+    // A new primary tenant creates its .wal before its first checkpoint
+    // writes the .snap: handshake again on a later pass, and seed then.
+    t.hello_done = false;
+    t.tailer.reset();
+    return false;
+  }
   net::NetRequest req;
   req.hdr.op = static_cast<std::uint8_t>(net::NetOp::ReplSnapshot);
   req.hdr.request_id = next_request_id_++;
   req.tenant = t.name;
-  if (persist::file_exists(snap_path)) {
-    req.repl_snapshot = persist::read_file(snap_path);
-    req.repl_lsn = read_snapshot_meta(req.repl_snapshot).journal_lsn;
-  }
+  req.repl_snapshot = persist::read_file(snap_path);
+  req.repl_lsn = read_snapshot_meta(req.repl_snapshot).journal_lsn;
   if (persist::file_exists(dedup_path)) {
     req.repl_dedup = persist::read_file(dedup_path);
   }
@@ -140,6 +145,7 @@ void Shipper::seed_tenant(TenantShip& t) {
   t.digests.clear();
   t.tailer = std::make_unique<persist::JournalTailer>(t.wal_path, seed_lsn);
   note_ack(t);
+  return true;
 }
 
 bool Shipper::ship_tenant(TenantShip& t) {
@@ -172,8 +178,7 @@ bool Shipper::ship_tenant(TenantShip& t) {
     if (st == persist::TailStatus::RotatedPast) {
       // The records we still needed were compacted away — re-seed from
       // the checkpoint that replaced them.
-      seed_tenant(t);
-      return true;
+      return seed_tenant(t);
     }
     if (st == persist::TailStatus::CaughtUp) break;
     batch_bytes += rec.payload.size();
@@ -240,8 +245,7 @@ bool Shipper::ship_tenant(TenantShip& t) {
         (resp.repl_flags & net::kReplDiverged) != 0) {
       ins_->digest_mismatches.add();
     }
-    seed_tenant(t);
-    return true;
+    return seed_tenant(t);
   }
   if (resp.hdr.status != static_cast<std::uint8_t>(net::NetStatus::Ok)) {
     // Unavailable (follower tenant quarantined) or a protocol-level

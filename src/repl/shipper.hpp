@@ -22,10 +22,13 @@
 ///                      verifies when its applied LSN reaches the
 ///                      digest's (a 0-record append is a pure check).
 ///   REPL_SNAPSHOT    — (re-)seed: the primary's snapshot container +
-///                      dedup sidecar, sent when the follower reports a
-///                      gap (kReplNeedSnapshot: fresh follower behind a
-///                      rotated journal) or divergence (kReplDiverged:
-///                      a digest mismatch — hard fault, full re-seed).
+///                      dedup sidecar, sent when the follower needs one
+///                      (kReplNeedSnapshot: a follower tenant that has
+///                      loaded no snapshot yet — the journal does not
+///                      carry the tenant's options — or one behind a
+///                      rotated journal) or reports divergence
+///                      (kReplDiverged: a digest mismatch — hard fault,
+///                      full re-seed).
 ///
 /// Durability model: acks are asynchronous — an admitted operation is
 /// acked to the client when the *primary* journals it, and reaches the
@@ -142,8 +145,10 @@ class Shipper {
   bool ship_tenant(TenantShip& t);
   void handshake(TenantShip& t);
   /// Read the tenant's snapshot + dedup artifacts and REPL_SNAPSHOT
-  /// them; repositions the tailer at the seeded LSN.
-  void seed_tenant(TenantShip& t);
+  /// them; repositions the tailer at the seeded LSN. Returns false,
+  /// sending nothing, while the tenant has no snapshot yet: the next
+  /// pass handshakes again.
+  bool seed_tenant(TenantShip& t);
   void note_ack(const TenantShip& t);
 
   ShipperOptions opts_;

@@ -56,18 +56,6 @@ TEST(AdmissionController, UtilizationBoundaryExactlyOne) {
   EXPECT_TRUE(ctl.try_admit(tk(1, 1000, 1000)).admitted);
 }
 
-TEST(AdmissionController, PolicyGates) {
-  AdmissionOptions capped;
-  capped.utilization_cap = 0.5;
-  AdmissionController ctl(capped);
-  EXPECT_TRUE(ctl.try_admit(tk(2, 10, 10)).admitted);   // U 0.2
-  EXPECT_TRUE(ctl.try_admit(tk(2, 10, 10)).admitted);   // U 0.4
-  const AdmissionDecision over = ctl.try_admit(tk(2, 10, 10));
-  EXPECT_FALSE(over.admitted);
-  EXPECT_EQ(over.rung, AdmissionRung::Structural);
-  EXPECT_EQ(over.analysis.verdict, Verdict::Unknown);  // policy, not analysis
-}
-
 TEST(AdmissionController, SkipExactModeStaysSound) {
   AdmissionOptions opts;
   opts.skip_exact = true;
@@ -88,12 +76,6 @@ TEST(AdmissionController, SkipExactModeStaysSound) {
   }
   // The standing invariant holds regardless of the weaker ladder.
   EXPECT_TRUE(ctl.empty() || ctl.analyze_resident().feasible());
-}
-
-TEST(AdmissionController, RejectsNonExactFallbackKind) {
-  AdmissionOptions opts;
-  opts.exact_fallback = TestKind::Devi;  // sufficient only
-  EXPECT_THROW(AdmissionController{opts}, std::invalid_argument);
 }
 
 TEST(AdmissionController, StatsAreConsistent) {
@@ -204,14 +186,24 @@ TEST(AdmissionController, CertificateCarryingDecisions) {
   EXPECT_TRUE(verify(widened, r.certificate).valid);
   EXPECT_FALSE(verify(ctl.snapshot(), r.certificate).valid);
 
-  // Policy rejects prove nothing and carry nothing.
-  AdmissionOptions capped = opts;
-  capped.utilization_cap = 0.15;
-  AdmissionController small(capped);
-  ASSERT_TRUE(small.try_admit(tk(1, 10, 10)).admitted);
-  const AdmissionDecision p = small.try_admit(tk(1, 10, 10));
-  EXPECT_FALSE(p.admitted);
-  EXPECT_FALSE(p.certificate.present());
+  // Unknown rejects prove nothing and carry nothing. The pair is
+  // feasible (demand 200 at t = 204), but the approximate rung leaves
+  // the first task's envelope active there (its refinement stops at 16
+  // jobs, border 155) and reads 204.5 > 204; with rung 3 skipped that
+  // is a reject without proof.
+  AdmissionOptions skip = opts;
+  skip.skip_exact = true;
+  AdmissionController sufficient(skip);
+  ASSERT_TRUE(sufficient.try_admit(tk(5, 5, 10)).admitted);
+  const AdmissionDecision u = sufficient.try_admit(tk(100, 204, 1000));
+  EXPECT_FALSE(u.admitted);
+  EXPECT_EQ(u.rung, AdmissionRung::Approximate);
+  EXPECT_EQ(u.analysis.verdict, Verdict::Unknown);
+  EXPECT_FALSE(u.certificate.present());
+  // The full ladder's exact rung admits the same pair.
+  AdmissionController exact(opts);
+  ASSERT_TRUE(exact.try_admit(tk(5, 5, 10)).admitted);
+  EXPECT_TRUE(exact.try_admit(tk(100, 204, 1000)).admitted);
 
   // Off (the default), decisions stay certificate-free.
   AdmissionController plain;
@@ -220,15 +212,15 @@ TEST(AdmissionController, CertificateCarryingDecisions) {
 
 TEST(AdmissionLadder, TestSelectionIsDiscoverable) {
   // The controller's rungs, as query kinds: utilization, the
-  // epsilon-approximate scan, then the configured exact fallback.
+  // epsilon-approximate scan, then QPA.
   const AdmissionOptions opts;
   const std::vector<TestKind> kinds =
-      default_ladder_kinds(opts.exact_fallback, !opts.skip_exact);
+      default_ladder_kinds(TestKind::Qpa, !opts.skip_exact);
   ASSERT_EQ(kinds.size(), 3u);
   EXPECT_EQ(kinds[0], TestKind::LiuLayland);
   EXPECT_EQ(kinds[1], TestKind::Chakraborty);
-  EXPECT_EQ(kinds[2], opts.exact_fallback);
-  EXPECT_EQ(default_ladder_kinds(opts.exact_fallback, false).size(), 2u);
+  EXPECT_EQ(kinds[2], TestKind::Qpa);
+  EXPECT_EQ(default_ladder_kinds(TestKind::Qpa, false).size(), 2u);
 }
 
 }  // namespace

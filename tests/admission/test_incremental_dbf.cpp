@@ -189,6 +189,68 @@ TEST(IncrementalDemand, OneShotTasksAreSingleCorners) {
   EXPECT_EQ(c.witness, 10);
 }
 
+TEST(IncrementalDemand, SlackIndexEngagesByResidentCountWithHysteresis) {
+  // Default thresholds: the index engages at 48 residents and lets go
+  // below 32. Constrained deadlines keep every check on the scan path;
+  // distinct deadlines and periods give each task k = 4 checkpoints of
+  // its own, and U stays near 0.04 so every segment has slack.
+  IncrementalDemand d(0.25);
+  const auto task = [](int i) {
+    return tk(1, 100 + 7 * i, 1000 + 13 * i);
+  };
+  std::vector<TaskId> ids;
+  const auto expect_one_flat_segment = [&](const char* when) {
+    const DemandCheck c = d.check();
+    EXPECT_TRUE(c.fits) << when;
+    EXPECT_EQ(c.segments_fast_forwarded, 0u) << when;
+    EXPECT_EQ(d.header().segments, 1u) << when;
+  };
+
+  // Below 48 residents, through adds, removes and checks, the store
+  // stays one segment and no scan skips anything.
+  for (int i = 0; i < 40; ++i) ids.push_back(d.add(task(i)));
+  expect_one_flat_segment("40 residents");
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(d.remove(ids.back()));
+    ids.pop_back();
+  }
+  expect_one_flat_segment("35 residents");
+  for (int i = 35; i < 47; ++i) {
+    ids.push_back(d.add(task(i)));
+    expect_one_flat_segment("below 48 residents");
+  }
+
+  // The 48th resident engages the index; with >= 192 live checkpoints
+  // the next check partitions the store.
+  ids.push_back(d.add(task(47)));
+  ASSERT_EQ(d.size(), 48u);
+  ASSERT_GE(d.checkpoint_count(), 192u);
+  const DemandCheck first = d.check();
+  EXPECT_TRUE(first.fits);
+  EXPECT_GT(d.header().segments, 1u);
+
+  // Bounds measured by that scan survive a light arrival: the next
+  // check fast-forwards segments instead of walking them.
+  ids.push_back(d.add(task(48)));
+  const DemandCheck later = d.check();
+  EXPECT_TRUE(later.fits);
+  EXPECT_GE(later.segments_fast_forwarded, 1u);
+
+  // Hysteresis: between the thresholds the store stays partitioned...
+  while (d.size() > 32) {
+    ASSERT_TRUE(d.remove(ids.back()));
+    ids.pop_back();
+  }
+  EXPECT_TRUE(d.check().fits);
+  EXPECT_GT(d.header().segments, 1u);
+  // ...and below 32 the next check returns it to one segment.
+  ASSERT_TRUE(d.remove(ids.back()));
+  ids.pop_back();
+  ASSERT_EQ(d.size(), 31u);
+  expect_one_flat_segment("31 residents");
+  EXPECT_TRUE(d.matches_rebuild());
+}
+
 TEST(IncrementalDemand, InvalidEpsilonAndTasksThrow) {
   EXPECT_THROW(IncrementalDemand(0.0), std::invalid_argument);
   EXPECT_THROW(IncrementalDemand(1.5), std::invalid_argument);

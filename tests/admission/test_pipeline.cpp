@@ -5,6 +5,7 @@
 /// agreement), and the demand store's header and its epoch.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "admission/controller.hpp"
@@ -30,8 +31,8 @@ using testing::tk;
 /// for upload.
 TEST(Tombstones, DifferentialFuzzAgainstRebuild) {
   Rng rng(20050307);
-  IncrementalDemand rebuilt(0.25, /*use_slack_index=*/true);
-  IncrementalDemand lazy(0.25, /*use_slack_index=*/true);
+  IncrementalDemand rebuilt(0.25);
+  IncrementalDemand lazy(0.25);
   rebuilt.set_index_thresholds(0, 0);
   lazy.set_index_thresholds(0, 0);
   std::vector<std::pair<TaskId, TaskId>> live;
@@ -91,7 +92,8 @@ TEST(Tombstones, RemovalBurstDefersThenCompacts) {
   // A drain leaves tombstones rather than memmoving the store; deferred
   // compaction reclaims them, and removing everything empties the live
   // view either way.
-  IncrementalDemand d(0.25, /*use_slack_index=*/false);
+  IncrementalDemand d(0.25);
+  d.set_index_thresholds(SIZE_MAX, SIZE_MAX);  // one flat segment
   Rng rng(3);
   const TaskSet ts = draw_fig8_set(rng, 0.7);
   std::vector<TaskId> ids;

@@ -9,6 +9,7 @@
 /// removal-credit churn included.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "admission/incremental_dbf.hpp"
@@ -139,15 +140,16 @@ TEST(KernelEquivalence, RewiredBackendsMatchBruteForceOverflow) {
 // ---------------------------------------------- cached-slack index fuzz
 
 struct TwinDemand {
-  IncrementalDemand plain{0.25, /*use_slack_index=*/false};
-  IncrementalDemand indexed{0.25, /*use_slack_index=*/true};
+  IncrementalDemand plain{0.25};
+  IncrementalDemand indexed{0.25};
   std::vector<std::pair<TaskId, TaskId>> live;  // (plain id, indexed id)
 
   TwinDemand() {
-    // These sets are small; force the index to engage regardless of the
-    // resident-count hysteresis so the twin genuinely diverges in
-    // mechanism (bounds maintained, segments partitioned) while
-    // verdicts must stay identical.
+    // These sets are small; pin the plain store disengaged and force
+    // the index to engage regardless of the resident-count hysteresis,
+    // so the twin genuinely diverges in mechanism (bounds maintained,
+    // segments partitioned) while verdicts must stay identical.
+    plain.set_index_thresholds(SIZE_MAX, SIZE_MAX);
     indexed.set_index_thresholds(0, 0);
   }
 
@@ -279,7 +281,7 @@ TEST(KernelEquivalence, CertificatesStaySoundWithIndex) {
   int covered = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const TaskSet ts = draw_small_set(rng, 0.6);
-    IncrementalDemand d(0.25, /*use_slack_index=*/true);
+    IncrementalDemand d(0.25);
     d.set_index_thresholds(0, 0);  // engage on these small sets too
     for (const Task& t : ts) d.add(t);
     if (!d.check().fits) continue;

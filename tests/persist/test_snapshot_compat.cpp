@@ -7,9 +7,11 @@
 /// replay of the same trace prefix, and then decide the rest of the
 /// trace exactly as that replay does. An image whose dropped field
 /// holds anything but its old default is refused with a typed
-/// PersistError: v2's dropped fields, and eager_compaction, whose two
-/// bytes v3 images keep as 0. So is the v2 image of the sharded engine
-/// earlier versions shipped: only controller images load.
+/// PersistError: v2's dropped fields, eager_compaction, whose two bytes
+/// v3 images keep as 0, and exact_fallback, utilization_cap and
+/// use_slack_index, which v3 images keep at Qpa, 1.0 and 1. So is the
+/// v2 image of the sharded engine earlier versions shipped: only
+/// controller images load.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -47,10 +49,7 @@ void expect_same_rows(const TaskSet& a, const TaskSet& b, const char* what) {
 void expect_same_options(const AdmissionOptions& a, const AdmissionOptions& b,
                          const char* what) {
   EXPECT_EQ(a.epsilon, b.epsilon) << what;
-  EXPECT_EQ(a.exact_fallback, b.exact_fallback) << what;
-  EXPECT_EQ(a.utilization_cap, b.utilization_cap) << what;
   EXPECT_EQ(a.skip_exact, b.skip_exact) << what;
-  EXPECT_EQ(a.use_slack_index, b.use_slack_index) << what;
   EXPECT_EQ(a.return_certificate, b.return_certificate) << what;
   EXPECT_EQ(a.platform.m, b.platform.m) << what;
 }
@@ -173,6 +172,49 @@ TEST(SnapshotCompat, V3ImageWithEagerCompactionSetIsRefused) {
     }
   }
   // Written as 0, the bytes load.
+  AdmissionController ok;
+  EXPECT_NO_THROW((void)load_snapshot_bytes(ok, v3));
+  EXPECT_EQ(store_digest(ok), store_digest(ctl));
+}
+
+TEST(SnapshotCompat, V3ImageWithADroppedOptionSetIsRefused) {
+  // v3 keeps the bytes of three more dropped options, written as their
+  // old defaults: exact_fallback (Qpa) u32 @8, utilization_cap (1.0)
+  // f64 @12, and use_slack_index (1) in the options @21 and in the
+  // demand section @124 (layout as in the eager_compaction test).
+  AdmissionController ctl;
+  (void)ctl.try_admit(testing::tk(1, 4, 8));
+  (void)ctl.try_admit(testing::tk(2, 6, 12));
+  const std::vector<std::uint8_t> v3 = encode_snapshot(ctl, 0);
+  const auto expect_refused = [](const std::vector<std::uint8_t>& image,
+                                 const char* option,
+                                 const std::string& what) {
+    AdmissionController out;
+    try {
+      (void)load_snapshot_bytes(out, image);
+      ADD_FAILURE() << what << " loaded";
+    } catch (const persist::PersistError& e) {
+      EXPECT_EQ(e.code(), persist::PersistErrc::BadValue) << what;
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const TestKind kind : all_test_kinds()) {
+    if (kind == TestKind::Qpa) continue;
+    expect_refused(patch_controller(v3, 8, static_cast<std::uint64_t>(kind),
+                                    4),
+                   "exact_fallback", to_string(kind));
+  }
+  const double cap = 0.9;
+  std::uint64_t cap_bits = 0;
+  std::memcpy(&cap_bits, &cap, sizeof cap);
+  expect_refused(patch_controller(v3, 12, cap_bits, 8), "utilization_cap",
+                 "utilization_cap 0.9");
+  for (const std::size_t offset : {std::size_t{21}, std::size_t{124}}) {
+    expect_refused(patch_controller(v3, offset, 0, 1), "use_slack_index",
+                   "use_slack_index @" + std::to_string(offset));
+  }
+  // The unpatched image loads into the same store.
   AdmissionController ok;
   EXPECT_NO_THROW((void)load_snapshot_bytes(ok, v3));
   EXPECT_EQ(store_digest(ok), store_digest(ctl));

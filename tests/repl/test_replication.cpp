@@ -159,6 +159,136 @@ TEST_F(ReplTest, ShipsDeterministicFollower) {
   EXPECT_TRUE(s->controller().verify_consistency());
 }
 
+// ------------------------------------ new follower: seed, then apply
+
+// The standby's half, driven by hand: a tenant that has loaded no
+// snapshot asks for one at REPL_HELLO and applies no shipped record
+// before it arrives, and an empty REPL_SNAPSHOT (which would leave the
+// tenant on the standby's own defaults) is a BadRequest.
+TEST_F(ReplTest, UnseededFollowerAppliesNothingBeforeTheSeed) {
+  net::ServerOptions sopts;
+  sopts.tenants.standby = true;
+  net::Server standby(sopts);
+  std::thread standby_loop([&] { standby.run(); });
+  net::Client c = net::Client::connect("127.0.0.1", standby.port());
+  const auto request = [](net::NetOp op) {
+    net::NetRequest req;
+    req.hdr.op = static_cast<std::uint8_t>(op);
+    req.tenant = "t";
+    return req;
+  };
+
+  const net::NetResponse hello = c.call(request(net::NetOp::ReplHello));
+  EXPECT_EQ(status_of(hello), net::NetStatus::Ok);
+  EXPECT_NE(hello.repl_flags & net::kReplNeedSnapshot, 0);
+
+  net::NetRequest append = request(net::NetOp::ReplAppend);
+  append.repl_records.push_back(journal_codec::admit(tk(1, 8, 8)));
+  const net::NetResponse ack = c.call(std::move(append));
+  EXPECT_NE(ack.repl_flags & net::kReplNeedSnapshot, 0);
+
+  EXPECT_EQ(status_of(c.call(request(net::NetOp::ReplSnapshot))),
+            net::NetStatus::BadRequest);
+
+  // A primary's checkpoint seeds it, options included.
+  AdmissionOptions global;
+  global.platform.m = 4;
+  global.return_certificate = true;
+  AdmissionController primary(global);
+  (void)primary.try_admit(tk(3, 8, 8));
+  net::NetRequest seed = request(net::NetOp::ReplSnapshot);
+  seed.repl_snapshot = encode_snapshot(primary, 0);
+  EXPECT_EQ(status_of(c.call(std::move(seed))), net::NetStatus::Ok);
+  const net::NetResponse again = c.call(request(net::NetOp::ReplHello));
+  EXPECT_EQ(again.repl_flags & net::kReplNeedSnapshot, 0);
+
+  standby.stop();
+  standby_loop.join();
+  const net::Tenant* s = standby.tenants().find("t");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->replica_lsn(), 0u);
+  EXPECT_EQ(s->controller().options().platform.m, 4u);
+  EXPECT_TRUE(s->controller().options().return_certificate);
+  EXPECT_EQ(store_digest(s->controller()), store_digest(primary));
+}
+
+// A new follower tenant takes its options from the primary's snapshot
+// before it applies a single record: the journal does not carry them,
+// and the standby's own defaults (one processor, no certificates)
+// decide this trace differently — the digest exchange would catch the
+// divergence and re-seed, but only after the follower served a wrong
+// store.
+TEST_F(ReplTest, NewFollowerTakesThePrimarysOptionsBeforeApplying) {
+  const std::string pdir = temp_dir("seed_p");
+  const std::string sdir = temp_dir("seed_s");
+
+  obs::Obs obs{obs::ObsConfig{}};
+  net::ServerOptions sopts;
+  sopts.tenants.data_dir = sdir;
+  sopts.tenants.standby = true;
+  net::Server standby(sopts, &obs);
+  std::thread standby_loop([&] { standby.run(); });
+
+  ShipperOptions shop;
+  shop.port = standby.port();
+  shop.data_dir = pdir;
+  shop.poll_interval_ms = 1;
+  Shipper ship(shop, &obs);
+
+  net::ServerOptions popts;
+  popts.tenants.data_dir = pdir;
+  popts.shipper = &ship;
+  popts.digest_interval_ms = 5;
+  net::Server primary(popts, &obs);
+  std::thread primary_loop([&] { primary.run(); });
+  ship.start();
+
+  // A certified global tenant on 4 processors. Each task has U = 3/8,
+  // so the resident set climbs past U = 1 (which one processor
+  // refuses) and departures keep it churning.
+  net::RetryingClient rc("127.0.0.1", primary.port(), "g", "cli", {},
+                         persist::FsyncPolicy::None, 64,
+                         net::kFlagCertifiedTenant, /*platform_m=*/4);
+  std::deque<TaskId> ids;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t span = 8u << (i % 3);
+    const net::NetResponse r = rc.admit(tk(3 * span / 8, span, span));
+    if (status_of(r) == net::NetStatus::Ok) ids.push_back(r.id);
+    if (i % 5 == 4 && !ids.empty()) {
+      (void)rc.remove(ids.front());
+      ids.pop_front();
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  const std::uint64_t shipped = settle_acked(ship, "g");
+  EXPECT_GT(shipped, 0u);
+
+  ship.stop();
+  primary.stop();
+  standby.stop();
+  primary_loop.join();
+  standby_loop.join();
+
+  net::Tenant* p = primary.tenants().find("g");
+  net::Tenant* s = standby.tenants().find("g");
+  ASSERT_NE(p, nullptr);
+  ASSERT_NE(s, nullptr);
+  const AdmissionOptions& po = p->controller().options();
+  const AdmissionOptions& so = s->controller().options();
+  EXPECT_EQ(po.platform.m, 4u);
+  EXPECT_TRUE(po.return_certificate);
+  EXPECT_EQ(so.epsilon, po.epsilon);
+  EXPECT_EQ(so.skip_exact, po.skip_exact);
+  EXPECT_EQ(so.return_certificate, po.return_certificate);
+  EXPECT_EQ(so.platform.m, po.platform.m);
+  EXPECT_GT(p->controller().utilization(), 1.0);  // beyond one processor
+  EXPECT_EQ(s->replica_lsn(), p->journal_lsn());
+  EXPECT_EQ(store_digest(s->controller()), store_digest(p->controller()));
+  EXPECT_EQ(obs.registry().counter_value("repl_digest_mismatches_total"),
+            0u);
+  EXPECT_FALSE(s->diverged());
+}
+
 // ------------------------------------- corruption -> digest -> reseed
 
 // Satellite: a failpoint corrupts one shipped record *after* the
