@@ -811,8 +811,8 @@ struct NetRow {
 /// The cost of serving a decision over the wire instead of in-process:
 /// the same churn trace replayed through a loopback net::Server (one
 /// blocking connection, synchronous round trips — the worst case for
-/// transport overhead; batching and fusing only improve on it) vs
-/// straight into an AdmissionController. Both sides run the same
+/// transport overhead; pipelined requests share a tick and only improve
+/// on it) vs straight into an AdmissionController. Both sides run the same
 /// controller options (rung <= 2), so `overhead_ns` isolates framing +
 /// epoll + syscalls. Each repetition
 /// serves a fresh tenant so the store evolution is identical on both

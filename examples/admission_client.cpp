@@ -11,7 +11,7 @@
 ///                      [--group-probability 0.15]
 ///                      [--depart-probability 0.5]
 ///                      [--fsync none|record|interval]
-///                      [--fsync-interval 64] [--fuse] [--certify]
+///                      [--fsync-interval 64] [--certify]
 ///                      [--platform-m 1]
 ///                      [--epsilon 0.1] [--skip-exact]
 ///                      [--gate-p99-us 0] [--expect-no-shed]
@@ -103,7 +103,6 @@ struct ClientConfig {
   double rate = 0.0;  ///< total events/sec across connections; 0 = max
   persist::FsyncPolicy fsync = persist::FsyncPolicy::None;
   std::uint64_t fsync_interval = 64;
-  bool fuse = false;
   bool certify = false;
   /// HELLO platform_m: 1 = uniprocessor ladder, > 1 = global admission
   /// mode over m processors (protocol v2).
@@ -145,10 +144,7 @@ persist::FsyncPolicy parse_fsync(const std::string& s) {
 }
 
 std::uint8_t hello_flags(const ClientConfig& cfg) {
-  std::uint8_t flags = 0;
-  if (cfg.fuse) flags |= net::kFlagBatchFuse;
-  if (cfg.certify) flags |= net::kFlagCertifiedTenant;
-  return flags;
+  return cfg.certify ? net::kFlagCertifiedTenant : 0;
 }
 
 net::NetRequest request_for(const TraceEvent& ev,
@@ -376,10 +372,7 @@ int run_replay(const ClientConfig& cfg) {
   net::Client client = connect_with_retry(cfg, /*budget_ms=*/5000);
   net::NetResponse h =
       client.hello(cfg.tenant, cfg.fsync, cfg.fsync_interval,
-                   // Fusing would change the journal/decision shape; the
-                   // differential needs the sequential one.
-                   hello_flags(cfg) & ~net::kFlagBatchFuse, "",
-                   cfg.platform_m);
+                   hello_flags(cfg), "", cfg.platform_m);
   if (h.hdr.status != static_cast<std::uint8_t>(net::NetStatus::Ok)) {
     std::fprintf(stderr, "HELLO failed: %s\n",
                  net::to_string(static_cast<net::NetStatus>(h.hdr.status)));
@@ -425,8 +418,7 @@ int run_replay(const ClientConfig& cfg) {
                    e.what());
       client = connect_with_retry(cfg, /*budget_ms=*/10000);
       h = client.hello(cfg.tenant, cfg.fsync, cfg.fsync_interval,
-                       hello_flags(cfg) & ~net::kFlagBatchFuse, "",
-                       cfg.platform_m);
+                       hello_flags(cfg), "", cfg.platform_m);
       if (h.hdr.status != static_cast<std::uint8_t>(net::NetStatus::Ok)) {
         std::fprintf(stderr, "re-HELLO failed\n");
         return 2;
@@ -575,11 +567,8 @@ int run_chaos(const ClientConfig& cfg, const std::string& client_id,
   policy.seed = cfg.seed;  // deterministic jitter for reproducible runs
   std::vector<net::Endpoint> endpoints{{cfg.host, cfg.port}};
   endpoints.insert(endpoints.end(), standbys.begin(), standbys.end());
-  // Fusing would change the journal/decision shape, and fused batches
-  // are excluded from dedup anyway — chaos runs sequential ops.
   net::RetryingClient rc(std::move(endpoints), cfg.tenant, client_id, policy,
-                         cfg.fsync, cfg.fsync_interval,
-                         hello_flags(cfg) & ~net::kFlagBatchFuse,
+                         cfg.fsync, cfg.fsync_interval, hello_flags(cfg),
                          cfg.platform_m);
 
   std::unordered_map<std::uint64_t, std::vector<TaskId>> wire_resident;
@@ -788,7 +777,6 @@ int main(int argc, char** argv) {
     cfg.fsync = parse_fsync(flags.get("fsync", "none"));
     cfg.fsync_interval =
         static_cast<std::uint64_t>(flags.get_int("fsync-interval", 64));
-    cfg.fuse = flags.get_bool("fuse", false);
     cfg.certify = flags.get_bool("certify", false);
     cfg.platform_m =
         static_cast<std::uint32_t>(flags.get_int("platform-m", 1));

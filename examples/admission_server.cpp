@@ -10,7 +10,7 @@
 ///                      [--max-pending 1024] [--max-residents 0]
 ///                      [--util-headroom 1.0] [--retry-after-ms 50]
 ///                      [--idle-timeout-ms 0] [--max-connections 256]
-///                      [--max-fuse 64] [--reprobe-interval-ms 200]
+///                      [--reprobe-interval-ms 200]
 ///                      [--metrics-dump] [--trace-out flight.json]
 ///                      [--trace-capacity 512]
 ///                      [--replicate-to HOST:PORT]
@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int("max-connections", 256));
     opts.idle_timeout_ms =
         static_cast<std::uint64_t>(flags.get_int("idle-timeout-ms", 0));
-    opts.max_fuse = static_cast<std::size_t>(flags.get_int("max-fuse", 64));
     opts.reprobe_interval_ms = static_cast<std::uint64_t>(
         flags.get_int("reprobe-interval-ms", 200));
 

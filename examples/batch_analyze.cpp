@@ -6,7 +6,7 @@
 ///
 ///   ./batch_analyze set1.txt set2.txt ...
 ///       [--tests qpa,chakraborty,...]   (registry names, see --list)
-///       [--ladder] [--epsilon 0.25] [--fallback qpa]
+///       [--ladder] [--epsilon 0.25]
 ///       [--csv out.csv] [--json | --json=out.json] [--quiet] [--list]
 ///       [--metrics-json | --metrics-json=out.json]
 ///
@@ -23,8 +23,7 @@
 /// escalates through (utilization bound -> epsilon-approximate -> qpa;
 /// see query/query.hpp default_ladder_kinds), so an offline batch
 /// previews which rung would settle each set at admission time.
-/// `--epsilon` tunes the approximate rung; `--fallback` swaps another
-/// exact backend in for qpa (same verdicts, different effort).
+/// `--epsilon` tunes the approximate rung.
 ///
 /// Without file arguments it demonstrates on the built-in literature
 /// sets (paper Table 1).
@@ -110,17 +109,7 @@ int main(int argc, char** argv) {
     const double epsilon = flags.get_double("epsilon", 0.25);
     if (flags.get_bool("ladder", false)) {
       // Mirror the online admission controller's escalation ladder.
-      TestKind fallback = TestKind::Qpa;
-      if (flags.has("fallback")) {
-        const std::vector<TestKind> kinds =
-            parse_tests(flags.get("fallback", ""));
-        if (kinds.size() != 1 || !is_exact(kinds.front())) {
-          throw std::invalid_argument(
-              "--fallback must name one exact test");
-        }
-        fallback = kinds.front();
-      }
-      query = Query::ladder(fallback, epsilon);
+      query = Query::ladder(epsilon);
       std::printf("admission ladder: ");
       for (const BackendSelection& s : query.backends()) {
         std::printf("%s ", to_string(s.kind));

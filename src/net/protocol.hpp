@@ -118,10 +118,10 @@ enum class NetStatus : std::uint8_t {
 
 /// Request flags.
 inline constexpr std::uint8_t kFlagWantCertificate = 1u << 0;
-/// HELLO only: opt this connection into speculative batch-fusing of
-/// consecutive ADMITs (decision-equivalent, not journal-bit-identical —
-/// see net/server.hpp).
-inline constexpr std::uint8_t kFlagBatchFuse = 1u << 1;
+// HELLO bit 1 is retired: it was kFlagBatchFuse, which fused a tick's
+// ADMITs into one admit_group. The server ignores it like any other
+// undefined bit, so a client that still sets it gets sequential
+// answers. Never reuse it.
 /// HELLO only: build certificates for every decision of this tenant
 /// (AdmissionOptions::return_certificate on the tenant's controller).
 inline constexpr std::uint8_t kFlagCertifiedTenant = 1u << 2;
@@ -159,8 +159,8 @@ struct NetRequest {
   /// connection into exactly-once retry: the server keeps a per-tenant
   /// sliding window of applied (client, request_id) results, so a
   /// resent ADMIT/REMOVE after a lost reply is answered from the
-  /// applied result instead of being applied twice. Mutually exclusive
-  /// with kFlagBatchFuse. Empty (the default) = anonymous, no dedup.
+  /// applied result instead of being applied twice. Empty (the
+  /// default) = anonymous, no dedup.
   std::string client;
   /// HELLO (v2, trailing): processor count the tenant admits against.
   /// 1 (the v1 default) = the classic uniprocessor ladder; m > 1 puts

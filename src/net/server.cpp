@@ -299,65 +299,26 @@ void Server::drain_frames(Connection& c) {
 
 void Server::serve_pending() {
   const std::size_t depth = pending_.size();
-  for (std::size_t i = 0; i < pending_.size();) {
-    const auto it = conns_.find(pending_[i].fd);
-    if (it == conns_.end()) {  // connection died earlier this tick
-      ++i;
-      continue;
-    }
-    Connection& c = *it->second;
-    const NetRequest& req = pending_[i].req;
+  for (const Pending& p : pending_) {
+    const auto it = conns_.find(p.fd);
+    if (it == conns_.end()) continue;  // connection died earlier this tick
     // Containment: no per-request failure may take down the event loop
     // (persist failures are handled — and quarantined — inside
     // serve_one; this is the backstop for everything else).
-    if (!standby_ && c.fuse && c.tenant != nullptr &&
-        c.client_id.empty() && !c.tenant->quarantined() &&
-        req.hdr.op == static_cast<std::uint8_t>(NetOp::Admit) &&
-        version_ok(req.hdr.version)) {
-      // Extend the fuse run: consecutive single ADMITs for the same
-      // tenant from fuse-enabled connections. (Dedup connections never
-      // fuse — the fused journal shape could not rebuild their cached
-      // responses on replay — and HELLO rejects the combination.)
-      std::size_t run = 1;
-      while (i + run < pending_.size() && run < opts_.max_fuse) {
-        const Pending& p = pending_[i + run];
-        const auto jt = conns_.find(p.fd);
-        if (jt == conns_.end()) break;
-        const Connection& c2 = *jt->second;
-        if (!c2.fuse || c2.tenant != c.tenant || !c2.client_id.empty()) {
-          break;
-        }
-        if (p.req.hdr.op != static_cast<std::uint8_t>(NetOp::Admit) ||
-            !version_ok(p.req.hdr.version)) {
-          break;
-        }
-        ++run;
-      }
-      if (run > 1) {
-        try {
-          serve_fused(*c.tenant, i, run, depth);
-        } catch (...) {
-          if (metrics_ != nullptr) metrics_->protocol_errors.add();
-        }
-        i += run;
-        continue;
-      }
-    }
     try {
-      serve_one(c, req, depth);
+      serve_one(*it->second, p.req, depth);
     } catch (...) {
       if (metrics_ != nullptr) metrics_->protocol_errors.add();
-      const auto jt = conns_.find(pending_[i].fd);
+      const auto jt = conns_.find(p.fd);
       if (jt != conns_.end()) {
         NetResponse resp;
-        resp.hdr.op = req.hdr.op;
-        resp.hdr.request_id = req.hdr.request_id;
+        resp.hdr.op = p.req.hdr.op;
+        resp.hdr.request_id = p.req.hdr.request_id;
         resp.hdr.status =
             static_cast<std::uint8_t>(NetStatus::InternalError);
         send_response(*jt->second, resp);
       }
     }
-    ++i;
   }
   pending_.clear();
 }
@@ -461,13 +422,8 @@ void Server::serve_one(Connection& c, const NetRequest& req,
           break;
         }
         // A client id opts into exactly-once dedup; it is journaled
-        // and persisted, so it obeys the tenant-name rule, and it is
-        // mutually exclusive with batch-fusing (a fused run journals
-        // one AdmitGroup, which replay could not split back into the
-        // per-request responses the dedup cache needs).
-        if (!req.client.empty() &&
-            (!valid_tenant_name(req.client) ||
-             (req.hdr.flags & kFlagBatchFuse) != 0)) {
+        // and persisted, so it obeys the tenant-name rule.
+        if (!req.client.empty() && !valid_tenant_name(req.client)) {
           fail(NetStatus::BadRequest);
           break;
         }
@@ -483,7 +439,6 @@ void Server::serve_one(Connection& c, const NetRequest& req,
           c.tenant = &t;
           tenant = &t;
           c.client_id = req.client;
-          c.fuse = (req.hdr.flags & kFlagBatchFuse) != 0;
           resp.base_lsn = t.journal_base_lsn();
           resp.lsn = t.journal_lsn();
           resp.epoch = t.epoch();
@@ -815,107 +770,6 @@ void Server::serve_repl_snapshot(const NetRequest& req, NetResponse& resp) {
     if (metrics_ != nullptr) metrics_->unavailable.add();
   } catch (const std::out_of_range&) {
     fail(NetStatus::BadRequest);  // malformed container
-  }
-}
-
-void Server::serve_fused(Tenant& tenant, std::size_t i, std::size_t n,
-                         std::size_t queue_depth) {
-  const std::uint64_t t0 = metrics_ != nullptr ? obs::now_ns() : 0;
-  AdmissionController& ctl = tenant.controller();
-
-  const auto respond = [&](std::size_t k, const NetResponse& resp) {
-    const auto it = conns_.find(pending_[i + k].fd);
-    if (it != conns_.end()) send_response(*it->second, resp);
-  };
-  const auto base_response = [&](std::size_t k) {
-    NetResponse resp;
-    resp.hdr.op = static_cast<std::uint8_t>(NetOp::Admit);
-    resp.hdr.request_id = pending_[i + k].req.hdr.request_id;
-    return resp;
-  };
-
-  if (shed_.should_shed(NetOp::Admit, queue_depth, ctl.demand_header(),
-                        ctl.platform().m)) {
-    if (metrics_ != nullptr) {
-      metrics_->requests.add(n);
-      metrics_->sheds.add(n);
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      NetResponse resp = base_response(k);
-      resp.hdr.status = static_cast<std::uint8_t>(NetStatus::Shed);
-      resp.retry_after_ms = shed_.options().retry_after_ms;
-      respond(k, resp);
-    }
-    return;
-  }
-
-  // Speculative fuse: one admit_group (one certified scan) for the
-  // whole run. Sound because subsets of a feasible set are feasible —
-  // an all-or-nothing accept admits exactly what sequential accepts
-  // would. A group reject proves nothing about individual members, so
-  // fall back to serving them sequentially.
-  std::vector<Task> tasks;
-  tasks.reserve(n);
-  bool invalid = false;
-  for (std::size_t k = 0; k < n; ++k) {
-    tasks.push_back(pending_[i + k].req.task);
-    try {
-      tasks.back().validate();
-    } catch (const std::invalid_argument&) {
-      invalid = true;
-    }
-  }
-
-  if (!invalid) {
-    try {
-      const GroupDecision d = ctl.admit_group(tasks);
-      if (d.admitted) {
-        if (metrics_ != nullptr) {
-          metrics_->requests.add(n);
-          metrics_->fused_admits.add(n);
-          const std::uint64_t dt = obs::now_ns() - t0;
-          for (std::size_t k = 0; k < n; ++k) {
-            metrics_->op_ns[static_cast<std::size_t>(NetOp::Admit)]
-                .record(dt / n);
-          }
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          NetResponse resp = base_response(k);
-          resp.id = d.ids[k];
-          resp.rung = static_cast<std::uint8_t>(d.rung);
-          resp.verdict = static_cast<std::uint8_t>(d.analysis.verdict);
-          if ((pending_[i + k].req.hdr.flags & kFlagWantCertificate) !=
-                  0 &&
-              d.certificate.present()) {
-            resp.hdr.flags |= kFlagHasCertificate;
-            resp.certificate = d.certificate;
-          }
-          respond(k, resp);
-        }
-        // Checkpoint after the responses are queued (see serve_one):
-        // a failing checkpoint quarantines, never clobbers decisions.
-        try {
-          tenant.on_operation();
-        } catch (const persist::PersistError& e) {
-          quarantine_tenant(tenant, e);
-        }
-        return;
-      }
-    } catch (const persist::PersistError&) {
-      // Journal failure mid-fuse: fall through to the sequential path,
-      // which quarantines the tenant as it hits the fault again and
-      // answers every request Unavailable.
-    }
-  }
-
-  // Sequential fallback (group rejected, or a member failed
-  // validation): every request gets the decision sequential serving
-  // would have produced.
-  if (metrics_ != nullptr) metrics_->fuse_fallbacks.add();
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto it = conns_.find(pending_[i + k].fd);
-    if (it == conns_.end()) continue;
-    serve_one(*it->second, pending_[i + k].req, queue_depth);
   }
 }
 

@@ -14,16 +14,9 @@
 ///
 /// Per-tick batching: each poll tick drains every readable connection,
 /// decodes all complete frames into one pending queue, then serves the
-/// queue. The queue depth at decode time is the backpressure signal
-/// (net/shed.hpp). With batch-fusing (HELLO kFlagBatchFuse), runs of
-/// consecutive single ADMITs for the same tenant inside one tick are
-/// fused into one admit_group call — one certified scan for the run
-/// instead of one per request. A fused accept is decision-equivalent
-/// to the sequential accepts (subsets of a feasible set are feasible);
-/// a fused reject falls back to serving the run sequentially, so no
-/// request is rejected that sequential serving would have admitted.
-/// The journal records the fused shape (one AdmitGroup vs N Admits),
-/// so fusing is opt-in and off for bit-identical replay comparisons.
+/// queue in order, one request at a time: every ADMIT is one try_admit.
+/// The queue depth at decode time is the backpressure signal
+/// (net/shed.hpp).
 ///
 /// Failure domains: a PersistError from one tenant's journal or
 /// checkpoint quarantines *that tenant* — its mutating ops answer
@@ -80,8 +73,6 @@ struct ServerOptions {
   std::size_t max_connections = 256;
   /// Close connections idle longer than this. 0 = never.
   std::uint64_t idle_timeout_ms = 0;
-  /// Cap on single ADMITs fused into one admit_group per run.
-  std::size_t max_fuse = 64;
   /// Milliseconds between recovery probes of quarantined tenants (and
   /// the retry_after_ms hint Unavailable responses carry). 0 = never
   /// re-probe automatically.
@@ -152,7 +143,6 @@ class Server {
     std::size_t woff = 0;  ///< bytes of wbuf already written
     Tenant* tenant = nullptr;
     std::string client_id;        ///< HELLO client (exactly-once dedup)
-    bool fuse = false;            ///< HELLO kFlagBatchFuse
     bool want_epollout = false;   ///< EPOLLOUT currently armed
     std::uint64_t last_activity_ns = 0;
   };
@@ -170,9 +160,6 @@ class Server {
   void serve_pending();
   void serve_one(Connection& c, const NetRequest& req,
                  std::size_t queue_depth);
-  /// Serve pending_[i, i+n) as one fused admit_group on `tenant`.
-  void serve_fused(Tenant& tenant, std::size_t i, std::size_t n,
-                   std::size_t queue_depth);
   void send_response(Connection& c, const NetResponse& resp);
   /// Queue an already-encoded response payload (the dedup-cache resend
   /// path; send_response goes through here too). Enforces the outbound

@@ -129,8 +129,6 @@ NetInstruments* Obs::net() {
     b->protocol_errors = registry_.counter("net_protocol_errors_total");
     b->bytes_in = registry_.counter("net_bytes_in_total");
     b->bytes_out = registry_.counter("net_bytes_out_total");
-    b->fused_admits = registry_.counter("net_fused_admits_total");
-    b->fuse_fallbacks = registry_.counter("net_fuse_fallbacks_total");
     b->unavailable = registry_.counter("net_unavailable_total");
     b->dedup_hits = registry_.counter("net_dedup_hits_total");
     b->quarantines = registry_.counter("net_tenant_quarantines_total");

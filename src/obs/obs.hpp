@@ -35,8 +35,11 @@
 ///   net_accepted_total / net_closed_total / net_connections (gauge) /
 ///   net_requests_total / net_shed_total /
 ///   net_protocol_errors_total / net_bytes_in_total /
-///   net_bytes_out_total / net_fused_admits_total /
-///   net_fuse_fallbacks_total
+///   net_bytes_out_total
+///   net_unavailable_total / net_dedup_hits_total /
+///   net_tenant_quarantines_total / net_tenant_unquarantines_total /
+///   net_tenant_reprobe_failures_total /
+///   net_tenants_quarantined (gauge)                  — failure domains, dedup
 ///   net_op_<op>_ns                                   — per-op service
 ///   latency histograms (hello/admit/admit_group/remove/remove_group/
 ///   stats/ping, the repl_* ops and promote, plus unknown)
@@ -191,8 +194,6 @@ struct NetInstruments {
   Counter protocol_errors;
   Counter bytes_in;
   Counter bytes_out;
-  Counter fused_admits;
-  Counter fuse_fallbacks;
   /// Fault-domain + exactly-once counters (net/server.hpp): responses
   /// answered Unavailable because the tenant is quarantined, retries
   /// answered from the dedup window, quarantine entries/exits, failed

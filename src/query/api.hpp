@@ -22,7 +22,8 @@
 /// construct keeps its meaning. Version 3 removed `WorkloadView` and the
 /// overlay `Query::run(base, extra)`: `run(const TaskSet&)` and
 /// `run(const Workload&)` hand their tasks to the backends without a
-/// copy.
+/// copy. Version 4 dropped the exact-kind parameter of `Query::ladder`
+/// and `default_ladder_kinds`: the ladder's exact rung is always QPA.
 ///
 /// Typical use:
 ///
@@ -40,7 +41,7 @@
 ///   }
 #pragma once
 
-#define EDFKIT_API_VERSION 3
+#define EDFKIT_API_VERSION 4
 
 #include "model/platform.hpp"
 #include "model/task_set.hpp"

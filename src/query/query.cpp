@@ -80,12 +80,10 @@ Query Query::single(TestKind kind, BackendParams params) {
   return q;
 }
 
-Query Query::ladder(TestKind exact_fallback, double epsilon,
-                    bool include_exact) {
+Query Query::ladder(double epsilon, bool include_exact) {
   Query q;
   q.policy_ = ExecPolicy::Ladder;
-  for (const TestKind k : default_ladder_kinds(exact_fallback,
-                                               include_exact)) {
+  for (const TestKind k : default_ladder_kinds(include_exact)) {
     BackendParams p = default_params(k);
     if (auto* ck = std::get_if<ChakrabortyParams>(&p)) ck->epsilon = epsilon;
     q.backends_.push_back({k, std::move(p)});
@@ -340,19 +338,14 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
   return out;
 }
 
-std::vector<TestKind> default_ladder_kinds(TestKind exact_fallback,
-                                           bool include_exact) {
-  if (include_exact && !is_exact(exact_fallback)) {
-    throw std::invalid_argument(
-        "default_ladder_kinds: fallback must be an exact test kind");
-  }
+std::vector<TestKind> default_ladder_kinds(bool include_exact) {
   std::vector<TestKind> kinds;
   for (const BackendInfo& b : BackendRegistry::instance().all()) {
     if (b.incremental && (b.platform_caps & kPlatformUniprocessor) != 0) {
       kinds.push_back(b.kind);
     }
   }
-  if (include_exact) kinds.push_back(exact_fallback);
+  if (include_exact) kinds.push_back(TestKind::Qpa);
   return kinds;
 }
 

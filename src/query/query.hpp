@@ -106,9 +106,8 @@ class Query {
   [[nodiscard]] static Query single(TestKind kind, BackendParams params);
 
   /// The default escalation ladder: the registry's incremental backends
-  /// (utilization, epsilon-approximate) then an exact fallback.
-  [[nodiscard]] static Query ladder(TestKind exact_fallback = TestKind::Qpa,
-                                    double epsilon = 0.25,
+  /// (utilization, epsilon-approximate) then QPA.
+  [[nodiscard]] static Query ladder(double epsilon = 0.25,
                                     bool include_exact = true);
 
   /// The platform-aware escalation ladder: for m == 1 exactly ladder();
@@ -181,10 +180,9 @@ class Query {
 
 /// The escalation-ladder kinds the default ladder (and the online
 /// admission controller) run, in order: the registry's incremental
-/// backends, then `exact_fallback` when included. \throws when
-/// include_exact and the fallback is not exact.
+/// backends, then QPA when include_exact.
 [[nodiscard]] std::vector<TestKind> default_ladder_kinds(
-    TestKind exact_fallback = TestKind::Qpa, bool include_exact = true);
+    bool include_exact = true);
 
 /// The platform-aware ladder kinds: delegates to the uniprocessor
 /// ladder for m == 1; for m > 1 the global cascade in cost order —

@@ -215,12 +215,12 @@ TEST(AdmissionLadder, TestSelectionIsDiscoverable) {
   // epsilon-approximate scan, then QPA.
   const AdmissionOptions opts;
   const std::vector<TestKind> kinds =
-      default_ladder_kinds(TestKind::Qpa, !opts.skip_exact);
+      default_ladder_kinds(!opts.skip_exact);
   ASSERT_EQ(kinds.size(), 3u);
   EXPECT_EQ(kinds[0], TestKind::LiuLayland);
   EXPECT_EQ(kinds[1], TestKind::Chakraborty);
   EXPECT_EQ(kinds[2], TestKind::Qpa);
-  EXPECT_EQ(default_ladder_kinds(TestKind::Qpa, false).size(), 2u);
+  EXPECT_EQ(default_ladder_kinds(false).size(), 2u);
 }
 
 }  // namespace

@@ -285,8 +285,11 @@ TEST_F(QuarantineTest, FailedFirstCheckpointQuarantinesAtHello) {
 
   // A new durable tenant snapshots before its first record. When that
   // snapshot fails, HELLO still succeeds and the tenant opens
-  // quarantined, exactly as after a failed periodic checkpoint.
-  fault::point("snapshot.rename").arm(fault::Mode::Once, 1, 0.0, 1, EACCES);
+  // quarantined, exactly as after a failed periodic checkpoint. Every
+  // rename fails while armed, so a re-probe that fires inside HELLO's
+  // round trip cannot recover the tenant before the checks below.
+  fault::FailPoint& fp = fault::point("snapshot.rename");
+  fp.arm(fault::Mode::EveryN, 1, 0.0, 1, EACCES);
   ASSERT_EQ(status_of(round_trip(server, client, hello_durable("t"))),
             NetStatus::Ok);
   Tenant* t = server.tenants().find("t");
@@ -297,7 +300,9 @@ TEST_F(QuarantineTest, FailedFirstCheckpointQuarantinesAtHello) {
   EXPECT_EQ(reg.counter_value("net_tenant_quarantines_total"), 1u);
   EXPECT_FALSE(std::filesystem::exists(dir + "/t.snap"));
 
-  // The re-probe retries the checkpoint; then the tenant serves.
+  // Once the fault clears, the re-probe retries the checkpoint; then
+  // the tenant serves.
+  fp.disarm();
   for (int i = 0; i < 100 && t->quarantined(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     pump(server, 1);

@@ -89,7 +89,7 @@ TEST(Framing, AnySingleBitFlipInPayloadFailsCrc) {
 TEST(Codec, HelloRoundTrip) {
   NetRequest req;
   req.hdr.op = static_cast<std::uint8_t>(NetOp::Hello);
-  req.hdr.flags = kFlagBatchFuse | kFlagCertifiedTenant;
+  req.hdr.flags = (1u << 1) | kFlagCertifiedTenant;  // bit 1: retired
   req.hdr.request_id = 0xDEADBEEFCAFE;
   req.tenant = "tenant-A_1";
   req.durability = 2;

@@ -121,16 +121,17 @@ TEST_F(RetryTest, ConnectToDeadPortFailsFast) {
 
 // ------------------------------------------------------- HELLO guards
 
-TEST_F(RetryTest, HelloRejectsBadClientIdsAndFuseCombo) {
+TEST_F(RetryTest, HelloRejectsBadClientIds) {
   Server server({});
   Client c1 = Client::connect("127.0.0.1", server.port());
   EXPECT_EQ(status_of(round_trip(server, c1, hello_request("t", "bad/name"))),
             NetStatus::BadRequest);
 
+  // HELLO bit 1 is retired and ignored, also beside a client id.
   Client c2 = Client::connect("127.0.0.1", server.port());
   EXPECT_EQ(status_of(round_trip(server, c2,
-                                 hello_request("t", "c1", kFlagBatchFuse))),
-            NetStatus::BadRequest);
+                                 hello_request("t", "c1", 1u << 1))),
+            NetStatus::Ok);
 
   // A valid client id on its own is fine, and the HELLO response
   // carries a nonzero epoch.

@@ -544,74 +544,40 @@ TEST(ServerFuzz, IdleConnectionsAreSwept) {
   ::close(fd);
 }
 
-// --------------------------------------------------------- batch fuse
+// ------------------------------------------------- retired HELLO bit 1
 
-TEST(ServerFuse, FusedAdmitsAreDecisionEquivalent) {
+TEST(ServerHello, RetiredBit1StillServesEveryAdmitAlone) {
+  // HELLO bit 1 once fused a tick's ADMITs into one admit_group. The
+  // server now ignores it: pipelined ADMITs that decode in one tick are
+  // each one try_admit, answered exactly as an in-process twin answers.
   Server server({});
   Client client = Client::connect("127.0.0.1", server.port());
   EXPECT_EQ(status_of(round_trip(server, client,
-                                 hello_request("fused", kFlagBatchFuse))),
+                                 hello_request("bit1", 1u << 1))),
             NetStatus::Ok);
 
-  // Pipeline a run of admits so they decode within one tick; the
-  // server must fuse them into one admit_group (visible as a group in
-  // the tenant's stats) while answering each request individually.
-  const std::vector<Task> tasks = {tk(1, 10, 20), tk(2, 30, 60),
-                                   tk(1, 40, 80), tk(3, 50, 100)};
-  for (const Task& t : tasks) client.send(admit_request(t));
-  pump(server);
-
   AdmissionController twin;
-  std::vector<TaskId> ids;
-  for (const Task& t : tasks) {
-    const NetResponse resp = client.receive();
-    const AdmissionDecision d = twin.try_admit(t);
-    ASSERT_EQ(status_of(resp), NetStatus::Ok);
-    EXPECT_EQ(d.admitted, true);
-    ids.push_back(resp.id);
-  }
-  // One certified scan for the run, not four.
-  Tenant* tenant = server.tenants().find("fused");
+  const auto pipeline = [&](const std::vector<Task>& tasks) {
+    for (const Task& t : tasks) client.send(admit_request(t));
+    pump(server);
+    for (const Task& t : tasks) {
+      const NetResponse resp = client.receive();
+      const AdmissionDecision d = twin.try_admit(t);
+      EXPECT_EQ(status_of(resp),
+                d.admitted ? NetStatus::Ok : NetStatus::Rejected);
+      EXPECT_EQ(resp.id, d.id);
+      EXPECT_EQ(resp.rung, static_cast<std::uint8_t>(d.rung));
+    }
+  };
+  // Four that fit, then a pair that overloads together (U = 0.6 + 0.9)
+  // although the first of them fits on its own.
+  pipeline({tk(1, 10, 20), tk(2, 30, 60), tk(1, 40, 80), tk(3, 50, 100)});
+  pipeline({tk(6, 10, 10), tk(9, 10, 10)});
+
+  Tenant* tenant = server.tenants().find("bit1");
   ASSERT_NE(tenant, nullptr);
-  EXPECT_EQ(tenant->controller().stats().groups, 1u);
-  EXPECT_EQ(tenant->controller().size(), tasks.size());
-
-  // The handed-out ids are real: removing them empties the tenant.
-  NetRequest rm;
-  rm.hdr.op = static_cast<std::uint8_t>(NetOp::RemoveGroup);
-  rm.ids = ids;
-  const NetResponse r = round_trip(server, client, std::move(rm));
-  EXPECT_EQ(r.removed, tasks.size());
-  EXPECT_TRUE(tenant->controller().empty());
-}
-
-TEST(ServerFuse, GroupRejectFallsBackToSequentialDecisions) {
-  Server server({});
-  Client client = Client::connect("127.0.0.1", server.port());
-  EXPECT_EQ(status_of(round_trip(server, client,
-                                 hello_request("fb", kFlagBatchFuse))),
-            NetStatus::Ok);
-
-  // Together the pair overloads (U = 0.6 + 0.9 > 1); sequentially the
-  // first fits and the second is rejected. The fused group reject must
-  // fall back to exactly the sequential outcome.
-  const Task fits = tk(6, 10, 10);
-  const Task hog = tk(9, 10, 10);
-  client.send(admit_request(fits));
-  client.send(admit_request(hog));
-  pump(server);
-
-  const NetResponse r1 = client.receive();
-  const NetResponse r2 = client.receive();
-  EXPECT_EQ(status_of(r1), NetStatus::Ok);
-  EXPECT_EQ(status_of(r2), NetStatus::Rejected);
-
-  AdmissionController twin;
-  EXPECT_TRUE(twin.try_admit(fits).admitted);
-  EXPECT_FALSE(twin.try_admit(hog).admitted);
-  Tenant* tenant = server.tenants().find("fb");
-  ASSERT_NE(tenant, nullptr);
-  EXPECT_EQ(tenant->controller().size(), 1u);
+  EXPECT_EQ(tenant->controller().stats().groups, 0u);
+  EXPECT_EQ(tenant->controller().size(), 5u);  // only the hog rejected
 }
 
 // ------------------------------------------------------- differential

@@ -19,7 +19,7 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
   // the same decision as reading those columns in escalation order.
   const AdmissionOptions admission;  // epsilon 0.25; rung 3 runs qpa
   const std::vector<TestKind> rungs =
-      default_ladder_kinds(TestKind::Qpa, !admission.skip_exact);
+      default_ladder_kinds(!admission.skip_exact);
   ASSERT_EQ(rungs.size(), 3u);
 
   std::vector<BatchEntry> entries;
@@ -37,7 +37,7 @@ TEST(CrossPaths, LadderAgreesWithAdmissionLadderPreview) {
 
   for (std::size_t row = 0; row < entries.size(); ++row) {
     const Outcome ladder =
-        Query::ladder(TestKind::Qpa, admission.epsilon)
+        Query::ladder(admission.epsilon)
             .with_certificates(false)
             .run(Workload::periodic(entries[row].tasks));
     // First decisive column in escalation order == ladder's decision.

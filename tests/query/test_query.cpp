@@ -60,11 +60,9 @@ TEST(QueryValidation, RejectsMismatchedParamsVariant) {
                std::invalid_argument);
 }
 
-TEST(QueryValidation, RejectsEmptySelectionAndBadLadderFallback) {
+TEST(QueryValidation, RejectsEmptySelection) {
   Query empty;
   EXPECT_THROW((void)empty.run(demo_set()), std::invalid_argument);
-  EXPECT_THROW((void)default_ladder_kinds(TestKind::Devi),
-               std::invalid_argument);
 }
 
 TEST(QueryValidation, SingleRejectsUnsupportedWorkloadKind) {
