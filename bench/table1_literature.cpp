@@ -1,6 +1,8 @@
 /// \file table1_literature.cpp
 /// Reproduces paper Table 1: iterations needed per feasibility test on
-/// the five literature task sets (reconstructed — see DESIGN.md §7).
+/// the five literature task sets. The paper prints none of their
+/// parameters, so they are reconstructions engineered to the properties
+/// Table 1 shows (src/lit/literature.hpp documents each one).
 ///
 /// Paper values for reference:
 ///   set       | Devi  | Dyn | AllAppr | ProcDem

@@ -19,6 +19,9 @@
 ///                      [--retry-attempts 50]
 ///                      [--failover-to HOST:PORT[,HOST:PORT...]]
 ///
+/// Any other flag is refused by name with exit 2 (every mode accepts
+/// every flag above, and ignores those it does not use).
+///
 /// `--mode load` — open-loop benchmark: each connection (one thread
 /// each) replays its own deterministic churn trace (gen/scenario §5
 /// workload) over the socket, paced so the fleet offers --rate events
@@ -764,6 +767,15 @@ int run_chaos(const ClientConfig& cfg, const std::string& client_id,
 int main(int argc, char** argv) {
   try {
     const CliFlags flags(argc, argv);
+    if (flags.reject_unknown(
+            {"host", "port", "tenant", "tenants", "connections", "seed",
+             "rate", "fsync", "fsync-interval", "certify", "platform-m",
+             "events", "utilization", "group-probability",
+             "depart-probability", "epsilon", "skip-exact", "mode",
+             "gate-p99-us", "expect-no-shed", "failover-to", "client",
+             "retry-timeout-ms", "retry-attempts"})) {
+      return 2;
+    }
 
     ClientConfig cfg;
     cfg.host = flags.get("host", "127.0.0.1");

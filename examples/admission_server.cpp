@@ -17,6 +17,9 @@
 ///                      [--digest-interval-ms 250]
 ///                      [--standby] [--promote-on-signal]
 ///
+/// Any other flag is refused by name with exit 2, so a typo such as
+/// --max-pendng never runs on the default it meant to change.
+///
 /// Tenants are created on first HELLO; with --data-dir each tenant gets
 /// its own snapshot + write-ahead journal under that directory and is
 /// recovered from disk on first HELLO after a restart (client-held
@@ -132,6 +135,15 @@ void dump_fault_counters(std::FILE* out) {
 int main(int argc, char** argv) {
   try {
     const CliFlags flags(argc, argv);
+    if (flags.reject_unknown(
+            {"bind", "port", "max-connections", "idle-timeout-ms",
+             "reprobe-interval-ms", "data-dir", "checkpoint-every",
+             "epsilon", "skip-exact", "max-pending", "max-residents",
+             "util-headroom", "retry-after-ms", "standby",
+             "digest-interval-ms", "replicate-to", "promote-on-signal",
+             "metrics-dump", "trace-out", "trace-capacity"})) {
+      return 2;
+    }
 
     net::ServerOptions opts;
     opts.bind_address = flags.get("bind", "127.0.0.1");

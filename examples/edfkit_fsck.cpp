@@ -38,7 +38,7 @@
 ///
 /// Exit codes are typed so harnesses can gate on the failure class:
 ///   0  every check passed
-///   2  usage error
+///   2  usage error (no --data-dir, or a flag other than the three above)
 ///   3  data directory missing or holds no tenant artifacts
 ///   4  CRC/framing corruption (snapshot, journal, or dedup sidecar)
 ///   5  replay or consistency failure (recovery threw, the recovered
@@ -285,6 +285,7 @@ void check_tenant(const std::string& tenant, const TenantPaths& p,
 int main(int argc, char** argv) {
   try {
     const CliFlags flags(argc, argv);
+    if (flags.reject_unknown({"data-dir", "tenant", "verbose"})) return 2;
     const std::string dir = flags.get("data-dir", "");
     const std::string only = flags.get("tenant", "");
     const bool verbose = flags.get_bool("verbose", false);

@@ -16,7 +16,10 @@
 /// `min(Dmax, ...)`, but its own derivation requires I >= D_max, so the
 /// sound closed form is `max` (for constrained deadlines the sum equals
 /// George's bound and dominates D_max in all non-trivial cases, so the
-/// distinction never matters in the paper's experiments). See DESIGN.md.
+/// distinction never matters in the paper's experiments). The sum solves
+/// sum_i (C_i + U_i (I - D_i)) <= I for I, and the envelope
+/// C_i + U_i (I - D_i) bounds dbf_i only from I >= D_i on, so the
+/// intervals below D_max stay tested.
 #pragma once
 
 #include <optional>

@@ -34,7 +34,10 @@ struct FeasibilityResult {
   /// For the dynamic test: the final superposition level reached.
   Time final_level = 0;
   /// Set when exact rational arithmetic degraded and a conservative
-  /// fallback path ran (verdicts remain sound; see DESIGN.md §3).
+  /// fallback path ran. Verdicts remain sound: a comparison nothing
+  /// could decide is taken the way that proves nothing (the exact walks
+  /// revise once more, a sufficient test rejects, and a walk with
+  /// nothing left to revise answers Unknown, not Infeasible).
   bool degraded = false;
   /// Set when the test observed a cooperative stop token and returned
   /// early (verdict is then Unknown) — portfolio losers report this.

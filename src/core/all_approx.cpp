@@ -5,6 +5,7 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/utilization.hpp"
+#include "core/border_recorder.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/intervals.hpp"
 #include "demand/task_view.hpp"
@@ -12,19 +13,23 @@
 namespace edfkit {
 
 FeasibilityResult all_approx_test(const TaskSet& ts,
-                                  const AllApproxOptions& opts) {
+                                  const AllApproxOptions& opts,
+                                  WalkBorders* borders) {
   FeasibilityResult r;
   if (ts.empty()) {
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  const UtilizationClass uc = classify_utilization(ts);
+  if (uc == UtilizationClass::AboveOne) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
     return r;
   }
 
-  const Time imax = opts.bound.value_or(implicit_test_bound(ts));
+  // Not value_or: that would compute the default bound even when a
+  // bound is given (the certificate builder passes kTimeInfinity).
+  const Time imax = opts.bound ? *opts.bound : implicit_test_bound(ts);
 
   // Flat hot columns for the revision loops (ROADMAP: "SoA the
   // accumulator tests"): the MaxError error sweep and the testlist
@@ -39,14 +44,23 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
 
   DemandAccumulator acc;
   Time iold = 0;
+  BorderRecorder rec(borders, ts.size(), imax,
+                     uc == UtilizationClass::BelowOne);
 
-  // One testlist entry per iteration (paper Fig. 7).
-  while (!list.empty() && list.peek().interval <= imax) {
+  // One testlist entry per iteration (paper Fig. 7). A certifying walk
+  // goes on past the bound to the drain (core/borders.hpp).
+  while (!list.empty()) {
+    if (!rec.past_bound() && list.peek().interval > imax &&
+        !rec.walk_past_bound(r)) {
+      break;
+    }
     if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
+      if (rec.past_bound()) return rec.at_bound();
       r.verdict = Verdict::Unknown;
       r.cancelled = true;
       return r;
     }
+    if (rec.step()) return rec.capped(r);
     const auto entry = list.pop();
     const Time point = entry.interval;
     acc.advance(point - iold);
@@ -63,6 +77,7 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
       r.degraded = r.degraded || cmp_degraded;
       if (cmp != Ordering::Greater) break;
       if (approx_fifo.empty()) {
+        if (rec.past_bound()) return rec.at_bound();  // never certify
         if (cmp_degraded) {
           r.verdict = Verdict::Unknown;  // defensive; exact dbf is integral
           return r;
@@ -71,6 +86,7 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
         r.witness = point;
         return r;
       }
+      if (rec.step()) return rec.capped(r);
       std::size_t ti;
       switch (opts.revision) {
         case RevisionPolicy::Lifo:
@@ -119,11 +135,11 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
     acc.approximate(ts[entry.task]);
     approximated[entry.task] = true;
     approx_fifo.push_back(entry.task);
+    rec.record(entry.task, point);
     iold = point;
   }
 
-  r.verdict = Verdict::Feasible;
-  return r;
+  return rec.drained(r);
 }
 
 }  // namespace edfkit

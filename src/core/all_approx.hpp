@@ -15,12 +15,21 @@
 /// overestimation, no further intervals are generated. When the initial
 /// interval of every task is accepted without revisions, the behaviour
 /// and cost equal Devi's test — the paper's key property.
+///
+/// Handed a `WalkBorders` (core/borders.hpp), the walk certifies its own
+/// Feasible verdict: it goes on past the bound until the test list
+/// drains and records each task's last approximation point. Query does
+/// this when the test is the deciding rung of a Single or Ladder query
+/// (query/certificate.hpp has the full rule), and
+/// `build_feasibility_certificate` is this walk with no bound, so under
+/// the default FIFO policy the two issue the same certificate.
 #pragma once
 
 #include <atomic>
 #include <optional>
 
 #include "analysis/types.hpp"
+#include "core/borders.hpp"
 #include "model/task_set.hpp"
 
 namespace edfkit {
@@ -37,16 +46,24 @@ enum class RevisionPolicy : std::uint8_t {
 
 struct AllApproxOptions {
   /// Safety net for U == 1 workloads where the implicit termination
-  /// argument does not apply (see DESIGN.md §4): intervals beyond this
-  /// bound are feasible by construction. Default: the library's combined
-  /// feasibility bound.
+  /// argument does not apply: with U == 1 the approximated demand grows
+  /// at the capacity's own slope, so the slack need never absorb the
+  /// overestimation and the test list may run to the hyperperiod.
+  /// Intervals beyond this bound are feasible by construction (the
+  /// bounds table in analysis/bounds.hpp). Default: the library's
+  /// combined feasibility bound; kTimeInfinity walks to the drain.
   std::optional<Time> bound;
   RevisionPolicy revision = RevisionPolicy::Fifo;
   /// Cooperative cancellation (see ProcessorDemandOptions::stop).
   const std::atomic<bool>* stop = nullptr;
 };
 
+/// `borders` (optional) makes the walk certify a Feasible verdict; see
+/// core/borders.hpp. The returned result is the same either way, except
+/// with no bound (kTimeInfinity), where passing the step cap ends the
+/// walk with verdict Unknown: the certificate builder's stop.
 [[nodiscard]] FeasibilityResult all_approx_test(
-    const TaskSet& ts, const AllApproxOptions& opts = {});
+    const TaskSet& ts, const AllApproxOptions& opts = {},
+    WalkBorders* borders = nullptr);
 
 }  // namespace edfkit

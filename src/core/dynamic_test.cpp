@@ -6,6 +6,7 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/utilization.hpp"
+#include "core/border_recorder.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/intervals.hpp"
 #include "demand/task_view.hpp"
@@ -20,7 +21,8 @@ Time grown(Time level, Time factor) {
 }  // namespace
 
 FeasibilityResult dynamic_error_test(const TaskSet& ts,
-                                     const DynamicTestOptions& opts) {
+                                     const DynamicTestOptions& opts,
+                                     WalkBorders* borders) {
   if (opts.initial_level < 1)
     throw std::invalid_argument("dynamic_error_test: initial_level < 1");
   if (opts.growth_factor < 1)
@@ -31,13 +33,16 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
     r.verdict = Verdict::Feasible;
     return r;
   }
-  if (utilization_exceeds_one(ts)) {
+  const UtilizationClass uc = classify_utilization(ts);
+  if (uc == UtilizationClass::AboveOne) {
     r.verdict = Verdict::Infeasible;
     r.iterations = 1;
     return r;
   }
 
-  const Time imax = opts.bound.value_or(implicit_test_bound(ts));
+  // Not value_or: that would compute the default bound even when a
+  // bound is given (the certificate builder passes kTimeInfinity).
+  const Time imax = opts.bound ? *opts.bound : implicit_test_bound(ts);
   Time level = opts.initial_level;
 
   // The revision loops below only read wcet / effective deadline /
@@ -55,15 +60,28 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
 
   DemandAccumulator acc;
   Time iold = 0;
+  BorderRecorder rec(borders, ts.size(), imax,
+                     uc == UtilizationClass::BelowOne);
 
   // One testlist entry per iteration (paper Fig. 5): pop (tau, Iact),
-  // account the job, then fix up the level until the demand fits.
-  while (!list.empty() && list.peek().interval <= imax) {
+  // account the job, then fix up the level until the demand fits. A
+  // certifying walk goes on past the bound to the drain
+  // (core/borders.hpp).
+  while (!list.empty()) {
+    if (!rec.past_bound() && list.peek().interval > imax) {
+      r.final_level = level;
+      if (!rec.walk_past_bound(r)) break;
+    }
     if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
+      if (rec.past_bound()) return rec.at_bound();
       r.verdict = Verdict::Unknown;
       r.cancelled = true;
       r.final_level = level;
       return r;
+    }
+    if (rec.step()) {
+      r.final_level = level;
+      return rec.capped(r);
     }
     const auto entry = list.pop();
     const Time point = entry.interval;
@@ -82,6 +100,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
       if (cmp != Ordering::Greater) break;
 
       if (approx_members.empty()) {
+        if (rec.past_bound()) return rec.at_bound();  // never certify
         if (cmp_degraded) {
           // Defensive: with nothing approximated the value is an exact
           // integer sum, so this branch should be unreachable.
@@ -100,6 +119,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
       while (revised.empty()) {
         level = grown(level, opts.growth_factor);
         if (opts.max_level != 0 && level > opts.max_level) {
+          if (rec.past_bound()) return rec.at_bound();
           r.verdict = Verdict::Unknown;  // cap hit: sufficient-mode reject
           r.final_level = level;
           return r;
@@ -111,6 +131,10 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
         }
       }
       for (const std::size_t ti : revised) {
+        if (rec.step()) {
+          r.final_level = level;
+          return rec.capped(r);
+        }
         acc.revise(ts[ti], point);
         approximated[ti] = false;
         ++r.revisions;
@@ -129,11 +153,18 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
       const std::size_t ti = entry.task;
       if (point < row_approx_border(cols, ti, level)) {
         const Time nxt = row_next_deadline_after(cols, ti, point);
-        if (!is_time_infinite(nxt)) list.add(ti, nxt);
+        if (!is_time_infinite(nxt)) {
+          list.add(ti, nxt);
+        } else {
+          // A one-shot task has no job after `point`: its exact dbf
+          // equals its envelope from here on, so `point` is its border.
+          rec.record(ti, point);
+        }
       } else {
         acc.approximate(ts[ti]);
         approximated[ti] = true;
         approx_members.push_back(ti);
+        rec.record(ti, point);
       }
     }
     iold = point;
@@ -141,9 +172,8 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
 
   // Either every task is approximated and all change points passed, or
   // the walk crossed the feasibility bound: feasible both ways.
-  r.verdict = Verdict::Feasible;
   r.final_level = level;
-  return r;
+  return rec.drained(r);
 }
 
 }  // namespace edfkit

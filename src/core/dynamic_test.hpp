@@ -18,12 +18,22 @@
 ///
 /// Task sets accepted by Devi's test complete entirely on level 1 with
 /// one iteration per task — the paper's headline property.
+///
+/// Handed a `WalkBorders` (core/borders.hpp), the walk certifies its own
+/// Feasible verdict: it goes on past the bound until the test list
+/// drains and records each task's last approximation point. Query does
+/// this when the test is the deciding rung of a Single or Ladder query
+/// (query/certificate.hpp has the full rule). Those borders come from
+/// this walk's level schedule, not from the all-approximated builder's
+/// FIFO revisions, so they may differ from what
+/// `build_feasibility_certificate` issues for the same set; both verify.
 #pragma once
 
 #include <atomic>
 #include <optional>
 
 #include "analysis/types.hpp"
+#include "core/borders.hpp"
 #include "model/task_set.hpp"
 
 namespace edfkit {
@@ -44,7 +54,12 @@ struct DynamicTestOptions {
   const std::atomic<bool>* stop = nullptr;
 };
 
+/// `borders` (optional) makes the walk certify a Feasible verdict; see
+/// core/borders.hpp. The returned result is the same either way, except
+/// with no bound (kTimeInfinity), where passing the step cap ends the
+/// walk with verdict Unknown: the certificate builder's stop.
 [[nodiscard]] FeasibilityResult dynamic_error_test(
-    const TaskSet& ts, const DynamicTestOptions& opts = {});
+    const TaskSet& ts, const DynamicTestOptions& opts = {},
+    WalkBorders* borders = nullptr);
 
 }  // namespace edfkit

@@ -8,7 +8,7 @@
 /// Revising a task's approximation subtracts the Lemma-6 overestimation
 /// app(I, tau).
 ///
-/// Exactness strategy (DESIGN.md §3): the running value is kept as a
+/// Exactness strategy: the running value is kept as a
 /// *certified interval* in 2^-62 fixed point — int128 floor/ceil bounds
 /// that each operation widens by at most one unit. Comparisons against
 /// the capacity line are therefore proofs whenever the interval clears

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/uunifast.hpp"
@@ -63,7 +65,9 @@ TaskSet draw_small_set(Rng& rng, double utilization) {
     const Time d_raw = round_to_time(
         (1.0 - gap) * static_cast<double>(t.period), 1, t.period);
     t.deadline = std::clamp(d_raw, t.wcet, t.period);
-    t.name = "s" + std::to_string(i);
+    std::string name = "s";
+    name += std::to_string(i);
+    t.name = std::move(name);
     tasks.push_back(std::move(t));
   }
   return TaskSet(std::move(tasks));

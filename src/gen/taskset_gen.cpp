@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "gen/uunifast.hpp"
 
@@ -85,7 +87,9 @@ TaskSet generate_task_set(Rng& rng, const GeneratorConfig& cfg) {
       const Time d_raw = round_to_time(
           (1.0 - gap) * static_cast<double>(t.period), 1, t.period);
       t.deadline = std::clamp(d_raw, t.wcet, t.period);
-      t.name = "t" + std::to_string(i);
+      std::string name = "t";
+      name += std::to_string(i);
+      t.name = std::move(name);
       if (!t.valid()) {
         ok = false;
         break;

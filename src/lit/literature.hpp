@@ -14,7 +14,8 @@
 ///     expanded to sporadic tasks (§3.6),
 ///   * processor-demand iteration counts an order of magnitude (or more)
 ///     above the new tests'.
-/// EXPERIMENTS.md reports our measured Table 1 next to the paper's.
+/// bench/table1_literature prints the measured Table 1; its file comment
+/// lists the paper's values.
 #pragma once
 
 #include <string>

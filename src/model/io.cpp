@@ -74,8 +74,13 @@ void write_task_set(std::ostream& out, const TaskSet& ts) {
       << ts.utilization_double() << "\n";
   std::size_t i = 0;
   for (const Task& t : ts) {
-    out << "task " << (t.name.empty() ? "t" + std::to_string(i) : t.name)
-        << " " << t.wcet << " " << t.deadline << " ";
+    out << "task ";
+    if (t.name.empty()) {
+      out << "t" << i;
+    } else {
+      out << t.name;
+    }
+    out << " " << t.wcet << " " << t.deadline << " ";
     if (is_time_infinite(t.period)) {
       out << "inf";
     } else {

@@ -1,12 +1,12 @@
 #include "query/certificate.hpp"
 
-#include <deque>
 #include <limits>
 #include <sstream>
 
 #include "analysis/bounds.hpp"
 #include "analysis/multi/global_tests.hpp"
 #include "analysis/utilization.hpp"
+#include "core/all_approx.hpp"
 #include "demand/accumulator.hpp"
 #include "demand/approx.hpp"
 #include "demand/dbf.hpp"
@@ -402,69 +402,43 @@ Certificate make_infeasibility_certificate(const FeasibilityResult& r) {
   return c;
 }
 
+std::optional<Certificate> make_borders_certificate(
+    const TaskSet& ts, std::vector<Time> borders) {
+  if (!utilization_provably_at_most_one(ts)) return std::nullopt;
+  Certificate c;
+  c.kind = CertificateKind::FeasibleBorders;
+  c.borders = std::move(borders);
+  return c;
+}
+
 std::optional<Certificate> build_feasibility_certificate(
     const TaskSet& ts, std::uint64_t step_cap) {
-  Certificate cert;
-  cert.kind = CertificateKind::FeasibleBorders;
-  if (ts.empty()) return cert;
+  if (ts.empty()) {
+    Certificate c;
+    c.kind = CertificateKind::FeasibleBorders;
+    return c;
+  }
   if (!utilization_provably_at_most_one(ts)) return std::nullopt;
 
-  const auto exhaustive_fallback = [&]() -> std::optional<Certificate> {
-    Certificate c;
-    c.kind = CertificateKind::FeasibleExhaustive;
-    c.bound = implicit_test_bound(ts);
-    return c;
-  };
-
-  // All-approximated sweep (paper Fig. 7, FIFO revision) run to test-list
-  // drain — not to a bound — so the recorded per-task borders cover every
-  // point the checker will regenerate. Revising a task re-enters its next
-  // deadline, and re-approximating it there raises its border; at drain
-  // every recorded border is the task's last verified job deadline.
-  TestList list;
-  std::vector<bool> approximated(ts.size(), false);
-  std::deque<std::size_t> approx_fifo;
-  cert.borders.assign(ts.size(), 0);
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    list.add(i, ts[i].effective_deadline());
+  // The all-approximated walk (paper Fig. 7, FIFO revision) with no
+  // bound: it decides only at its drain, so its recorded borders cover
+  // every point the checker will regenerate.
+  AllApproxOptions opts;
+  opts.bound = kTimeInfinity;
+  WalkBorders walk;
+  walk.step_cap = step_cap;
+  const FeasibilityResult r = all_approx_test(ts, opts, &walk);
+  if (walk.complete) {
+    return make_borders_certificate(ts, std::move(walk.borders));
   }
-  DemandAccumulator acc;
-  Time iold = 0;
-  std::uint64_t steps = 0;
-
-  while (!list.empty()) {
-    if (++steps > step_cap) return exhaustive_fallback();
-    const auto entry = list.pop();
-    const Time point = entry.interval;
-    acc.advance(point - iold);
-    acc.add_job(ts[entry.task].wcet);
-
-    while (true) {
-      bool degraded = false;
-      const Ordering cmp =
-          acc.compare_with_refresh(ts, approximated, point, &degraded);
-      if (cmp != Ordering::Greater) break;
-      if (approx_fifo.empty()) {
-        // Every task exact: either a true overflow (the set is not
-        // feasible — never certify) or degraded arithmetic (fall back).
-        return degraded ? exhaustive_fallback() : std::nullopt;
-      }
-      if (++steps > step_cap) return exhaustive_fallback();
-      const std::size_t ti = approx_fifo.front();
-      approx_fifo.pop_front();
-      acc.revise(ts[ti], point);
-      approximated[ti] = false;
-      const Time nxt = ts[ti].next_deadline_after(point);
-      if (!is_time_infinite(nxt)) list.add(ti, nxt);
-    }
-
-    acc.approximate(ts[entry.task]);
-    approximated[entry.task] = true;
-    approx_fifo.push_back(entry.task);
-    cert.borders[entry.task] = point;
-    iold = point;
-  }
-  return cert;
+  // A true overflow: the set is not feasible, never certify.
+  if (r.verdict == Verdict::Infeasible) return std::nullopt;
+  // Past the step cap (pathological U == 1 hyperperiods) or degraded
+  // arithmetic with nothing approximated: the exhaustive replay form.
+  Certificate c;
+  c.kind = CertificateKind::FeasibleExhaustive;
+  c.bound = implicit_test_bound(ts);
+  return c;
 }
 
 std::optional<Certificate> build_multiprocessor_certificate(

@@ -28,6 +28,20 @@
 /// deadline, border shrunk below a violation, transplanted task set)
 /// fails one of the three checks.
 ///
+/// Which walk produced the borders: when the rung that decides a Single
+/// or Ladder Query (or a batch's first decisive exact backend) is the
+/// dynamic or all-approx test, it carries the borders its own walk
+/// recorded on the way to its drain (core/borders.hpp). Every other
+/// accept gets them from `build_feasibility_certificate`, the all-approx
+/// walk with no bound: QPA, processor-demand and the sufficient rungs, a
+/// portfolio (its walks race uncertified), the admission controller, and
+/// a walk that stops short of its drain (past the step cap, on its stop
+/// token, at U == 1, or run with no bound). An all-approx accept's
+/// certificate is therefore the builder's byte for byte (under the
+/// default FIFO revision); a dynamic accept's borders follow the dynamic
+/// test's level schedule and may differ from the builder's, and verify
+/// just the same.
+///
 /// The rare fallback (step-capped construction at U == 1) is an
 /// exhaustive certificate: a bound B such that checking the exact dbf at
 /// every deadline in (0, B] proves feasibility; the checker recomputes
@@ -148,11 +162,19 @@ inline constexpr std::uint64_t kDefaultVerifyPointCap = 1u << 22;
 [[nodiscard]] Certificate make_infeasibility_certificate(
     const FeasibilityResult& r);
 
-/// Construct a feasibility certificate for a provably feasible set by an
-/// all-approximated superposition sweep that records per-task borders.
-/// Falls back to the exhaustive form when the sweep exceeds `step_cap`
-/// (possible only for pathological U == 1 sets). Returns nullopt when the
-/// set is not provably feasible (never emits an unsound certificate).
+/// Wrap the borders a Feasible dynamic or all-approx walk recorded at
+/// its drain (core/borders.hpp) as a FeasibleBorders certificate.
+/// nullopt when U <= 1 is not provable with exact rationals, the same
+/// gate the builder applies.
+[[nodiscard]] std::optional<Certificate> make_borders_certificate(
+    const TaskSet& ts, std::vector<Time> borders);
+
+/// Construct a feasibility certificate for a provably feasible set: the
+/// all-approximated walk (core/all_approx.hpp) run with no bound, whose
+/// recorded borders form the certificate. Falls back to the exhaustive
+/// form when the walk exceeds `step_cap` steps (possible only for
+/// pathological U == 1 sets). Returns nullopt when the set is not
+/// provably feasible (never emits an unsound certificate).
 [[nodiscard]] std::optional<Certificate> build_feasibility_certificate(
     const TaskSet& ts, std::uint64_t step_cap = 1u << 20);
 

@@ -39,6 +39,22 @@ BackendParams arm_stop(BackendParams params, const std::atomic<bool>* stop) {
   return params;
 }
 
+/// True for a walk asked to run with no bound (`bound =
+/// kTimeInfinity`). Certifying such a walk would let the step cap end it
+/// with verdict Unknown (core/borders.hpp), a stop meant for the
+/// certificate builder alone, so Query runs it uncertified.
+bool unbounded(const BackendParams& params) {
+  return std::visit(
+      [](const auto& p) {
+        if constexpr (requires { p.bound; }) {
+          return p.bound.has_value() && is_time_infinite(*p.bound);
+        } else {
+          return false;
+        }
+      },
+      params);
+}
+
 }  // namespace
 
 const char* to_string(ExecPolicy p) noexcept {
@@ -218,13 +234,25 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
         "platform");
   }
 
-  const auto run_one = [&](const BackendSelection& sel,
+  // When certificates are wanted, a bounded walk that can certify its
+  // own accept (dynamic, all-approx) and may settle the outcome runs
+  // through its certifying entry, recording into `walk`.
+  const bool walk_borders = certificates_ && platform_.uniprocessor();
+  const auto run_one = [&](const BackendSelection& sel, WalkBorders* walk,
                            const std::atomic<bool>* stop = nullptr) {
     const BackendInfo* info = reg.find(sel.kind);
-    return info->run(ts, platform_,
-                     arm_stop(apply_limits(sel.params, limits_), stop));
+    const BackendParams params =
+        arm_stop(apply_limits(sel.params, limits_), stop);
+    if (walk_borders && walk != nullptr && info->certify != nullptr &&
+        !unbounded(params)) {
+      walk->step_cap = limits_.certificate_step_cap;
+      return info->certify(ts, params, *walk);
+    }
+    return info->run(ts, platform_, params);
   };
 
+  // The borders the deciding walk recorded, when it certified itself.
+  WalkBorders decided_walk;
   const auto settle = [&](TestKind kind, const FeasibilityResult& r) {
     out.decided = true;
     out.decided_by = kind;
@@ -236,11 +264,13 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
     case ExecPolicy::Single:
     case ExecPolicy::Ladder: {
       for (const BackendSelection* sel : runnable) {
-        const FeasibilityResult r = run_one(*sel);
+        WalkBorders walk;
+        const FeasibilityResult r = run_one(*sel, &walk);
         out.attempts.push_back({sel->kind, r});
         out.analysis = r;
         if (decisive(r.verdict)) {
           settle(sel->kind, r);
+          decided_walk = std::move(walk);
           break;
         }
       }
@@ -250,7 +280,10 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
       // Race: every backend on its own thread; completion order decides
       // the winner. The first decisive finisher raises the stop token;
       // the long-running exact backends poll it and return early with
-      // `cancelled`, so the race never pays for the slowest loser.
+      // `cancelled`, so the race never pays for the slowest loser. The
+      // walks race uncertified: a certifying walk would run on past its
+      // bound instead of ending the race there, so a portfolio accept
+      // gets the builder's certificate.
       //
       // Populate the set's lazy caches (exact utilization, deadline
       // order) on this thread first: they are unsynchronized mutables,
@@ -265,7 +298,7 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
       threads.reserve(runnable.size());
       for (const BackendSelection* sel : runnable) {
         threads.emplace_back([&, sel] {
-          FeasibilityResult r = run_one(*sel, &stop);
+          FeasibilityResult r = run_one(*sel, nullptr, &stop);
           if (decisive(r.verdict) && !r.cancelled) {
             stop.store(true, std::memory_order_relaxed);
           }
@@ -285,8 +318,17 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
       break;
     }
     case ExecPolicy::Batch: {
+      // Only the first decisive exact backend can settle a batch with a
+      // walk of its own, so the walks after it run uncertified.
+      bool exact_decided = false;
       for (const BackendSelection* sel : runnable) {
-        const FeasibilityResult r = run_one(*sel);
+        WalkBorders walk;
+        const FeasibilityResult r =
+            run_one(*sel, exact_decided ? nullptr : &walk);
+        if (!exact_decided && is_exact(sel->kind) && decisive(r.verdict)) {
+          exact_decided = true;
+          decided_walk = std::move(walk);
+        }
         out.attempts.push_back({sel->kind, r});
       }
       // Combined verdict: prefer the first decisive exact backend, then
@@ -325,14 +367,19 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
     } else if (out.verdict == Verdict::Infeasible) {
       out.certificate = make_infeasibility_certificate(out.analysis);
     } else if (out.verdict == Verdict::Feasible) {
-      // Sound accepts (exact or sufficient) admit a constructive
-      // certificate; construction is itself an exact sweep, so a
-      // nullopt here would indicate a library bug and is surfaced by
-      // leaving the certificate absent.
-      if (auto cert = build_feasibility_certificate(
-              ts, limits_.certificate_step_cap)) {
-        out.certificate = std::move(*cert);
+      // A deciding dynamic or all-approx walk that drained within the
+      // step cap certified itself. Every other sound accept (exact or
+      // sufficient) gets the builder's certificate; construction is
+      // itself an exact walk, so a nullopt here would indicate a library
+      // bug and is surfaced by leaving the certificate absent.
+      std::optional<Certificate> cert;
+      if (decided_walk.complete) {
+        cert = make_borders_certificate(ts, std::move(decided_walk.borders));
+      } else {
+        cert = build_feasibility_certificate(ts,
+                                             limits_.certificate_step_cap);
       }
+      if (cert) out.certificate = std::move(*cert);
     }
   }
   return out;

@@ -51,6 +51,15 @@ FeasibilityResult run_all_approx(const TaskSet& ts, const Platform&,
                                  const BackendParams& p) {
   return all_approx_test(ts, std::get<AllApproxOptions>(p));
 }
+FeasibilityResult certify_dynamic(const TaskSet& ts, const BackendParams& p,
+                                  WalkBorders& borders) {
+  return dynamic_error_test(ts, std::get<DynamicTestOptions>(p), &borders);
+}
+FeasibilityResult certify_all_approx(const TaskSet& ts,
+                                     const BackendParams& p,
+                                     WalkBorders& borders) {
+  return all_approx_test(ts, std::get<AllApproxOptions>(p), &borders);
+}
 FeasibilityResult run_rtc_curve(const TaskSet& ts, const Platform&,
                                 const BackendParams&) {
   return rtc::rtc_feasibility_test(ts);
@@ -149,63 +158,65 @@ BackendRegistry::BackendRegistry() {
       {TestKind::LiuLayland, "liu-layland",
        "utilization bound [12]; exact for implicit deadlines",
        /*exact=*/false, /*tasks=*/true, /*streams=*/false,
-       /*incremental=*/true, kUni, &run_liu_layland},
+       /*incremental=*/true, kUni, &run_liu_layland, nullptr},
       {TestKind::Devi, "devi", "sufficient density test [9]",
-       /*exact=*/false, true, true, /*incremental=*/false, kUni, &run_devi},
+       /*exact=*/false, true, true, /*incremental=*/false, kUni, &run_devi,
+       nullptr},
       {TestKind::SuperPos, "superpos",
        "superposition approximation SuperPos(x) [1]",
        /*exact=*/false, true, true, /*incremental=*/false, kUni,
-       &run_superpos},
+       &run_superpos, nullptr},
       {TestKind::Chakraborty, "chakraborty",
        "epsilon-approximate analysis [8]",
        /*exact=*/false, true, true, /*incremental=*/true, kUni,
-       &run_chakraborty},
+       &run_chakraborty, nullptr},
       {TestKind::ProcessorDemand, "processor-demand",
        "classic exact processor-demand test [3]",
        /*exact=*/true, true, true, /*incremental=*/false, kUni,
-       &run_processor_demand},
+       &run_processor_demand, nullptr},
       {TestKind::Qpa, "qpa", "quick processor-demand analysis (exact)",
-       /*exact=*/true, true, true, /*incremental=*/false, kUni, &run_qpa},
+       /*exact=*/true, true, true, /*incremental=*/false, kUni, &run_qpa,
+       nullptr},
       {TestKind::Dynamic, "dynamic",
        "dynamic-error exact test (paper 4.1)",
        /*exact=*/true, true, true, /*incremental=*/false, kUni,
-       &run_dynamic},
+       &run_dynamic, &certify_dynamic},
       {TestKind::AllApprox, "all-approx",
        "all-approximated exact test (paper 4.2)",
        /*exact=*/true, true, true, /*incremental=*/false, kUni,
-       &run_all_approx},
+       &run_all_approx, &certify_all_approx},
       {TestKind::RtcCurve, "rtc-curve",
        "real-time-calculus 2-segment curve test (3.6, sufficient)",
        /*exact=*/false, true, true, /*incremental=*/false, kUni,
-       &run_rtc_curve},
+       &run_rtc_curve, nullptr},
       {TestKind::DeviEnvelope, "devi-envelope",
        "Devi envelopes on the curve machinery (3.6, sufficient)",
        /*exact=*/false, true, true, /*incremental=*/false, kUni,
-       &run_devi_envelope},
+       &run_devi_envelope, nullptr},
       {TestKind::GfbDensity, "gfb",
        "global-EDF density bound (GFB) + O(n) infeasibility gates",
        /*exact=*/false, true, /*streams=*/false, /*incremental=*/true, kGlb,
-       &run_gfb},
+       &run_gfb, nullptr},
       {TestKind::GlobalBcl, "gbl-bcl",
        "global-EDF one-pass window test (BCL-style)",
        /*exact=*/false, true, false, /*incremental=*/false, kGlb,
-       &run_global_bcl},
+       &run_global_bcl, nullptr},
       {TestKind::GlobalBclIterative, "gbl-bcl-iter",
        "global-EDF slack-iterated window test",
        /*exact=*/false, true, false, /*incremental=*/false, kGlb,
-       &run_global_bcl_iter},
+       &run_global_bcl_iter, nullptr},
       {TestKind::GlobalLoad, "gbl-load",
        "global-EDF busy-window/load sweep",
        /*exact=*/false, true, false, /*incremental=*/false, kGlb,
-       &run_global_load},
+       &run_global_load, nullptr},
       {TestKind::GlobalRta, "gbl-rta",
        "global-EDF response-time analysis (slack-iterated)",
        /*exact=*/false, true, false, /*incremental=*/false, kGlb,
-       &run_global_rta},
+       &run_global_rta, nullptr},
       {TestKind::GlobalSim, "gbl-sim",
        "m-processor EDF simulation rung (decisive closer)",
        /*exact=*/false, true, false, /*incremental=*/false, kGlb,
-       &run_global_sim},
+       &run_global_sim, nullptr},
   };
 }
 

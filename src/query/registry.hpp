@@ -84,6 +84,14 @@ struct BackendInfo {
   /// m == 1 work).
   FeasibilityResult (*run)(const TaskSet& ts, const Platform& platform,
                            const BackendParams& params);
+  /// Certifying entry, set for the dynamic and all-approx walks only:
+  /// `run`, but a Feasible walk also records its superposition borders
+  /// within `borders.step_cap` (core/borders.hpp). When Query wants
+  /// certificates it calls this in place of `run` for a bounded walk
+  /// that may decide a Single, Ladder or Batch query, so the deciding
+  /// walk carries its own FeasibleBorders evidence.
+  FeasibilityResult (*certify)(const TaskSet& ts, const BackendParams& params,
+                               WalkBorders& borders);
 
   [[nodiscard]] bool supports(WorkloadKind w) const noexcept {
     return w == WorkloadKind::PeriodicTasks ? supports_tasks

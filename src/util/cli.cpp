@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -59,6 +60,18 @@ bool CliFlags::get_bool(const std::string& name, bool fallback) const {
       it->second == "yes")
     return true;
   return false;
+}
+
+bool CliFlags::reject_unknown(std::initializer_list<std::string_view> known,
+                              std::ostream& err) const {
+  bool rejected = false;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      err << "error: unknown flag --" << name << '\n';
+      rejected = true;
+    }
+  }
+  return rejected;
 }
 
 std::int64_t CliFlags::get_int_env(const std::string& name,

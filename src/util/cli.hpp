@@ -2,13 +2,17 @@
 /// Tiny flag parser shared by bench/example binaries.
 ///
 /// Supports `--name value`, `--name=value`, and boolean `--name`.
-/// Unknown flags are collected so harness wrappers (e.g. google-benchmark)
-/// can consume them afterwards.
+/// Every `--name` is accepted at parse time, so harness wrappers (e.g.
+/// google-benchmark) can consume theirs afterwards; a binary that reads
+/// a fixed set of flags refuses the rest with `reject_unknown()`.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace edfkit {
@@ -25,6 +29,14 @@ class CliFlags {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// True when a flag outside `known` (names without the leading "--")
+  /// was given; each one is named on `err` as "error: unknown flag
+  /// --NAME", in name order. A binary that exits 2 on this never runs a
+  /// misspelt or retired flag silently on its default.
+  [[nodiscard]] bool reject_unknown(
+      std::initializer_list<std::string_view> known,
+      std::ostream& err = std::cerr) const;
 
   /// Positional arguments and unrecognized tokens, in order.
   [[nodiscard]] const std::vector<std::string>& rest() const noexcept {

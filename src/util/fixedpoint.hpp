@@ -4,8 +4,10 @@
 /// A ScaledPair holds integer floor/ceil bounds of x * kFixedPointScale
 /// for a non-negative real x. Sums of pairs bound sums of reals; each
 /// rounding step widens the interval by at most one unit (2^-62), so
-/// comparisons that clear a scaled threshold are *proofs*. See
-/// DESIGN.md §3.
+/// comparisons that clear a scaled threshold are *proofs*. A comparison
+/// whose interval straddles the threshold (in practice only at exact
+/// equality) proves nothing; callers settle it with exact rationals, so
+/// no verdict rests on a rounded value.
 #pragma once
 
 #include "util/math.hpp"

@@ -198,7 +198,11 @@ Time Rational::ceil() const {
 }
 
 std::string Rational::to_string() const {
-  if (!exact_) return "~" + std::to_string(approx_);
+  if (!exact_) {
+    std::string s = "~";
+    s += std::to_string(approx_);
+    return s;
+  }
   if (den_ == 1) return int128_to_string(num_);
   return int128_to_string(num_) + "/" + int128_to_string(den_);
 }

@@ -87,6 +87,25 @@ TEST(Cli, BoolValueForms) {
   EXPECT_FALSE(f.get_bool("z", true));
 }
 
+TEST(Cli, RejectUnknownNamesEveryFlagOutsideTheKnownSet) {
+  const char* argv[] = {"prog",           "pos",          "--port", "7461",
+                        "--max-pendng=10", "--skip-exact", "--verbsoe"};
+  CliFlags f(7, const_cast<char**>(argv));
+  std::ostringstream err;
+  EXPECT_TRUE(
+      f.reject_unknown({"port", "max-pending", "skip-exact", "verbose"}, err));
+  EXPECT_EQ(err.str(),
+            "error: unknown flag --max-pendng\n"
+            "error: unknown flag --verbsoe\n");
+  // Positionals are not flags, and a fully known command line is clean.
+  std::ostringstream clean;
+  EXPECT_FALSE(f.reject_unknown(
+      {"port", "max-pendng", "skip-exact", "verbsoe"}, clean));
+  const char* none[] = {"prog"};
+  EXPECT_FALSE(CliFlags(1, const_cast<char**>(none)).reject_unknown({}, clean));
+  EXPECT_TRUE(clean.str().empty());
+}
+
 TEST(Cli, EnvFallback) {
   const char* argv[] = {"prog", "--sets", "9"};
   CliFlags f(3, const_cast<char**>(argv));
