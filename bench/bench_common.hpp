@@ -1,9 +1,10 @@
 /// \file bench_common.hpp
 /// Shared plumbing for the figure/table benches: seeded flags, CSV
-/// emission, a consistent header format so EXPERIMENTS.md can quote
-/// outputs verbatim, and a minimal JSON emitter for machine-readable
-/// artifacts (BENCH_*.json — see bench/perf_suite.cpp for the schema
-/// and the CI regression gate that consumes it).
+/// emission, one banner format (what it reproduces, samples per point,
+/// seed) so any printed table can be re-run from its own header, and a
+/// minimal JSON emitter for machine-readable artifacts (BENCH_*.json —
+/// see bench/perf_suite.cpp for the schema and the CI regression gate
+/// that consumes it).
 #pragma once
 
 #include <cstdio>

@@ -20,8 +20,11 @@ FeasibilityResult processor_demand_test(const TaskSet& ts,
     r.verdict = Verdict::Infeasible;
     return r;
   }
-  const Time bound =
-      opts.bound.value_or(default_test_bound(ts, opts.use_busy_period));
+  // Not value_or: that would compute the default bound even when a
+  // bound is given.
+  const Time bound = opts.bound
+                         ? *opts.bound
+                         : default_test_bound(ts, opts.use_busy_period);
 
   // Walk all job deadlines <= bound in ascending order, accumulating the
   // demand incrementally: every popped (task, deadline) adds one job's C.

@@ -1,7 +1,6 @@
 #include "core/all_approx.hpp"
 
 #include <deque>
-#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "analysis/utilization.hpp"
@@ -36,13 +35,12 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
   // re-arming only read wcet / deadline / period / util.
   const TaskColumns cols(ts);
   TestList list;
-  std::vector<bool> approximated(ts.size(), false);
   std::deque<std::size_t> approx_fifo;  // paper's ApproxList (FIFO)
   for (std::size_t i = 0; i < ts.size(); ++i) {
     list.add(i, cols.deadline[i]);
   }
 
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   Time iold = 0;
   BorderRecorder rec(borders, ts.size(), imax,
                      uc == UtilizationClass::BelowOne);
@@ -72,8 +70,7 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
     // fits or nothing is approximated (=> the value is the exact dbf).
     while (true) {
       bool cmp_degraded = false;
-      const Ordering cmp =
-          acc.compare_with_refresh(ts, approximated, point, &cmp_degraded);
+      const Ordering cmp = acc.compare_with_refresh(point, &cmp_degraded);
       r.degraded = r.degraded || cmp_degraded;
       if (cmp != Ordering::Greater) break;
       if (approx_fifo.empty()) {
@@ -123,8 +120,7 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
           approx_fifo.pop_front();
           break;
       }
-      acc.revise(ts[ti], point);
-      approximated[ti] = false;
+      acc.revise(ti, point);
       ++r.revisions;
       const Time nxt = row_next_deadline_after(cols, ti, point);
       if (!is_time_infinite(nxt)) list.add(ti, nxt);
@@ -132,8 +128,7 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
 
     // The popped task re-enters approximation immediately: the frontier
     // sits on its own job deadline, where app == 0.
-    acc.approximate(ts[entry.task]);
-    approximated[entry.task] = true;
+    acc.approximate(entry.task);
     approx_fifo.push_back(entry.task);
     rec.record(entry.task, point);
     iold = point;

@@ -33,9 +33,10 @@
 ///
 /// Only a set with U < 1 proven walks past its bound. At U == 1 the
 /// fully approximated demand I + sum U_i (T_i - D_i) grows at the
-/// capacity's own slope, so with any D_i < T_i it never fits and the
-/// list never drains: such a walk would only burn the step cap before
-/// the query fell back to the builder, which burns it again.
+/// capacity's own slope, so when that offset is positive it never fits
+/// and the list never drains: such a walk would only burn the step cap
+/// before the query fell back to the builder (which skips the walk for
+/// such a set, query/certificate.hpp).
 #pragma once
 
 #include <cstdint>

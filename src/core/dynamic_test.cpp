@@ -48,17 +48,16 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
   // The revision loops below only read wcet / effective deadline /
   // period — stream them from flat columns instead of re-indexing the
   // 80-byte Task structs every iteration (ROADMAP: "SoA the
-  // accumulator tests"). The accumulator's refresh stages keep the
-  // TaskSet (cold path).
+  // accumulator tests"). The accumulator keeps the TaskSet for its
+  // refresh stages (cold path) and the approximated flags.
   const TaskColumns cols(ts);
   TestList list;
-  std::vector<bool> approximated(ts.size(), false);
   std::vector<std::size_t> approx_members;  // tasks currently approximated
   for (std::size_t i = 0; i < ts.size(); ++i) {
     list.add(i, cols.deadline[i]);
   }
 
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   Time iold = 0;
   BorderRecorder rec(borders, ts.size(), imax,
                      uc == UtilizationClass::BelowOne);
@@ -94,8 +93,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
     // approximated any more.
     while (true) {
       bool cmp_degraded = false;
-      const Ordering cmp =
-          acc.compare_with_refresh(ts, approximated, point, &cmp_degraded);
+      const Ordering cmp = acc.compare_with_refresh(point, &cmp_degraded);
       r.degraded = r.degraded || cmp_degraded;
       if (cmp != Ordering::Greater) break;
 
@@ -135,15 +133,15 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
           r.final_level = level;
           return rec.capped(r);
         }
-        acc.revise(ts[ti], point);
-        approximated[ti] = false;
+        acc.revise(ti, point);
         ++r.revisions;
         const Time nxt = row_next_deadline_after(cols, ti, point);
         if (!is_time_infinite(nxt)) list.add(ti, nxt);
       }
       approx_members.erase(
-          std::remove_if(approx_members.begin(), approx_members.end(),
-                         [&](std::size_t ti) { return !approximated[ti]; }),
+          std::remove_if(
+              approx_members.begin(), approx_members.end(),
+              [&](std::size_t ti) { return !acc.approximated(ti); }),
           approx_members.end());
     }
 
@@ -161,8 +159,7 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
           rec.record(ti, point);
         }
       } else {
-        acc.approximate(ts[ti]);
-        approximated[ti] = true;
+        acc.approximate(ti);
         approx_members.push_back(ti);
         rec.record(ti, point);
       }

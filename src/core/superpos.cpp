@@ -1,7 +1,6 @@
 #include "core/superpos.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "analysis/utilization.hpp"
 #include "demand/accumulator.hpp"
@@ -25,11 +24,10 @@ FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
 
   const TaskColumns cols(ts.tasks());
   TestList list;
-  std::vector<bool> approximated(cols.size(), false);
   for (std::size_t i = 0; i < cols.size(); ++i) {
     list.add(i, cols.deadline[i]);
   }
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   Time iold = 0;
 
   // One testlist entry per iteration, exactly as in the paper's
@@ -46,8 +44,7 @@ FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
     ++r.iterations;
     r.max_interval_tested = point;
 
-    const Ordering cmp =
-        acc.compare_with_refresh(ts, approximated, point, &r.degraded);
+    const Ordering cmp = acc.compare_with_refresh(point, &r.degraded);
     if (cmp == Ordering::Greater) {
       // Approximated demand exceeds capacity (or cannot be proven not
       // to): the sufficient test rejects.
@@ -60,8 +57,7 @@ FeasibilityResult superpos_test(const TaskSet& ts, Time level) {
       const Time nxt = row_next_deadline_after(cols, e.task, point);
       if (!is_time_infinite(nxt)) list.add(e.task, nxt);
     } else {
-      acc.approximate(ts[e.task]);
-      approximated[e.task] = true;
+      acc.approximate(e.task);
     }
     iold = point;
   }

@@ -41,6 +41,12 @@ ScaledPair scaled_envelope(const Task& t, Time interval) {
 
 }  // namespace
 
+DemandAccumulator::DemandAccumulator(const TaskSet& ts)
+    : ts_(&ts), approximated_(ts.size(), false) {
+  util_.reserve(ts.size());
+  for (const Task& t : ts.tasks()) util_.push_back(scaled_task_util(t));
+}
+
 void DemandAccumulator::advance(Time dt) {
   if (dt == 0) return;
   dlo_ += ulo_ * dt;
@@ -53,21 +59,21 @@ void DemandAccumulator::add_job(Time wcet) {
   dhi_ += v;
 }
 
-void DemandAccumulator::approximate(const Task& t) {
-  const ScaledPair u = scaled_task_util(t);
-  ulo_ += u.lo;
-  uhi_ += u.hi;
+void DemandAccumulator::approximate(std::size_t i) {
+  ulo_ += util_[i].lo;
+  uhi_ += util_[i].hi;
+  approximated_[i] = true;
 }
 
-void DemandAccumulator::revise(const Task& t, Time interval) {
-  const ScaledPair u = scaled_task_util(t);
+void DemandAccumulator::revise(std::size_t i, Time interval) {
   // Subtracting an interval swaps the roles of the endpoints.
-  ulo_ -= u.hi;
+  ulo_ -= util_[i].hi;
   if (ulo_ < 0) ulo_ = 0;  // utilization can never be negative
-  uhi_ -= u.lo;
-  const ScaledPair a = scaled_app(t, interval);
+  uhi_ -= util_[i].lo;
+  const ScaledPair a = scaled_app((*ts_)[i], interval);
   dlo_ -= a.hi;
   dhi_ -= a.lo;
+  approximated_[i] = false;
 }
 
 Ordering DemandAccumulator::compare_demand(Time interval) const noexcept {
@@ -77,16 +83,15 @@ Ordering DemandAccumulator::compare_demand(Time interval) const noexcept {
   return Ordering::Unknown;
 }
 
-Ordering DemandAccumulator::compare_with_refresh(
-    const TaskSet& ts, const std::vector<bool>& approximated, Time interval,
-    bool* degraded) {
+Ordering DemandAccumulator::compare_with_refresh(Time interval,
+                                                 bool* degraded) {
   Ordering c = compare_demand(interval);
   if (c != Ordering::Unknown) return c;
 
   // Stage 2: rebuild the certified interval from scratch (width <= n
   // units instead of one per historical operation).
-  const ScaledDemand fresh = recompute_demand_scaled(ts, approximated,
-                                                     interval);
+  const ScaledDemand fresh =
+      recompute_demand_scaled(*ts_, approximated_, interval);
   dlo_ = fresh.lo;
   dhi_ = fresh.hi;
   c = compare_demand(interval);
@@ -94,7 +99,7 @@ Ordering DemandAccumulator::compare_with_refresh(
 
   // Stage 3: exact rationals — resolves equality (dbf' == I) whenever
   // the denominators fit, which covers every realistic workload.
-  const Rational exact = recompute_demand(ts, approximated, interval);
+  const Rational exact = recompute_demand(*ts_, approximated_, interval);
   if (exact.exact()) {
     const Ordering ec = exact.compare(interval);
     if (ec == Ordering::Less || ec == Ordering::Equal) {

@@ -1,12 +1,20 @@
 /// \file accumulator.hpp
 /// Incremental approximated-demand accumulator shared by the dynamic-error
-/// and all-approximated tests (paper Figs. 5 & 7).
+/// and all-approximated tests (paper Figs. 5 & 7) and the superposition
+/// test.
 ///
 /// The algorithms walk test intervals in ascending order and maintain
 ///   dbf'  +=  C_tau  +  (I_act - I_old) * U_ready
 /// where U_ready is the utilization sum of currently-approximated tasks.
 /// Revising a task's approximation subtracts the Lemma-6 overestimation
 /// app(I, tau).
+///
+/// One accumulator serves one walk over one `TaskSet`, which must outlive
+/// it and stay unchanged. Tasks are named by row index. The accumulator
+/// computes each task's certified utilization C/T once, when it is built,
+/// and keeps which tasks are approximated, so `approximate` and `revise`
+/// add and subtract precomputed bounds and the refresh stages read its
+/// own flags.
 ///
 /// Exactness strategy: the running value is kept as a
 /// *certified interval* in 2^-62 fixed point — int128 floor/ceil bounds
@@ -19,15 +27,20 @@
 /// Verdicts never rest on an uncertain comparison.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "model/task_set.hpp"
+#include "util/fixedpoint.hpp"
 #include "util/rational.hpp"
 
 namespace edfkit {
 
 class DemandAccumulator {
  public:
+  /// Zero demand at frontier 0, no task approximated.
+  explicit DemandAccumulator(const TaskSet& ts);
+
   /// Advance the frontier by dt, accruing the linear demand of
   /// approximated tasks. \pre dt >= 0
   void advance(Time dt);
@@ -35,15 +48,20 @@ class DemandAccumulator {
   /// Account the WCET of one job whose deadline is at the frontier.
   void add_job(Time wcet);
 
-  /// Mark `t` approximated from the current frontier on. The frontier
-  /// must sit on a job deadline of `t` (where app == 0), so no value
-  /// correction is needed — only the slope changes.
-  void approximate(const Task& t);
+  /// Mark task `i` approximated from the current frontier on. The
+  /// frontier must sit on a job deadline of it (where app == 0), so no
+  /// value correction is needed — only the slope changes.
+  /// \pre !approximated(i)
+  void approximate(std::size_t i);
 
-  /// Withdraw the approximation of `t` at frontier `interval`: subtract
-  /// the overestimation app(interval, t) and stop accruing its
-  /// utilization.
-  void revise(const Task& t, Time interval);
+  /// Withdraw the approximation of task `i` at frontier `interval`:
+  /// subtract the overestimation app(interval, task) and stop accruing
+  /// its utilization. \pre approximated(i)
+  void revise(std::size_t i, Time interval);
+
+  [[nodiscard]] bool approximated(std::size_t i) const {
+    return approximated_[i];
+  }
 
   /// dbf' vs interval. Greater means "demand exceeds capacity" (proof);
   /// Less/Equal means it fits (proof); Unknown means the certified
@@ -51,17 +69,18 @@ class DemandAccumulator {
   [[nodiscard]] Ordering compare_demand(Time interval) const noexcept;
 
   /// Three-stage comparison: incremental bounds, then a fresh recompute
-  /// of the bounds from (ts, approximated), then exact rationals. Sets
-  /// *degraded when even the rationals could not decide (the returned
-  /// Greater is then conservative, which only costs extra revisions).
-  /// \pre `interval` is the accumulator's current frontier and
-  /// `approximated` describes the state the incremental value models —
-  /// the refresh stages recompute the demand *at that interval*.
-  [[nodiscard]] Ordering compare_with_refresh(
-      const TaskSet& ts, const std::vector<bool>& approximated,
-      Time interval, bool* degraded);
+  /// of the bounds from the task set and the approximated flags, then
+  /// exact rationals. Sets *degraded when even the rationals could not
+  /// decide (the returned Greater is then conservative, which only costs
+  /// extra revisions).
+  /// \pre `interval` is the accumulator's current frontier — the refresh
+  /// stages recompute the demand *at that interval*.
+  [[nodiscard]] Ordering compare_with_refresh(Time interval, bool* degraded);
 
  private:
+  const TaskSet* ts_;
+  std::vector<ScaledPair> util_;     // S-scaled bounds on C_i/T_i
+  std::vector<bool> approximated_;
   // S-scaled certified bounds: dlo_ <= dbf' * S <= dhi_, and the same
   // for the ready utilization.
   Int128 dlo_ = 0;

@@ -5,6 +5,7 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/multi/global_tests.hpp"
+#include "analysis/processor_demand.hpp"
 #include "analysis/utilization.hpp"
 #include "core/all_approx.hpp"
 #include "demand/accumulator.hpp"
@@ -33,6 +34,30 @@ bool utilization_provably_at_most_one(const TaskSet& ts) {
   const UtilizationClass uc = classify_utilization(ts);
   return uc == UtilizationClass::BelowOne ||
          uc == UtilizationClass::ExactlyOne;
+}
+
+/// At U == 1 the fully approximated demand is I plus this offset:
+/// sum C_i (T_i - D_i) / T_i over periodic tasks plus sum C_i over
+/// one-shot tasks (D effective). True when the offset is proven > 0:
+/// the all-approximated walk then never drains (core/borders.hpp).
+bool approximation_offset_positive(const TaskSet& ts) {
+  ScaledPair above;
+  ScaledPair below;
+  for (const Task& t : ts.tasks()) {
+    if (is_time_infinite(t.period)) {
+      above += scale_integer(t.wcet);
+      continue;
+    }
+    const Time d = t.effective_deadline();
+    if (d <= t.period) {
+      above += scale_fraction(static_cast<Int128>(t.wcet) * (t.period - d),
+                              static_cast<Int128>(t.period));
+    } else {
+      below += scale_fraction(static_cast<Int128>(t.wcet) * (d - t.period),
+                              static_cast<Int128>(t.period));
+    }
+  }
+  return above.lo > below.hi;
 }
 
 /// Border must be an absolute job deadline of `t`: D_eff + k*T (k >= 0),
@@ -418,7 +443,31 @@ std::optional<Certificate> build_feasibility_certificate(
     c.kind = CertificateKind::FeasibleBorders;
     return c;
   }
-  if (!utilization_provably_at_most_one(ts)) return std::nullopt;
+  const UtilizationClass uc = classify_utilization(ts);
+  if (uc != UtilizationClass::BelowOne && uc != UtilizationClass::ExactlyOne) {
+    return std::nullopt;
+  }
+  const auto exhaustive = [&ts] {
+    Certificate c;
+    c.kind = CertificateKind::FeasibleExhaustive;
+    c.bound = implicit_test_bound(ts);
+    return c;
+  };
+
+  // A walk that can never drain would only burn the step cap: decide
+  // by the exact demand up to the bound the checker replays to, under
+  // the same cap. A cap of 0 stays with the walk, which stops at once
+  // with the exhaustive form; processor demand reads 0 as no cap.
+  if (uc == UtilizationClass::ExactlyOne && step_cap > 0 &&
+      approximation_offset_positive(ts)) {
+    ProcessorDemandOptions pd;
+    pd.bound = implicit_test_bound(ts);
+    pd.max_iterations = step_cap;
+    if (processor_demand_test(ts, pd).verdict == Verdict::Infeasible) {
+      return std::nullopt;
+    }
+    return exhaustive();
+  }
 
   // The all-approximated walk (paper Fig. 7, FIFO revision) with no
   // bound: it decides only at its drain, so its recorded borders cover
@@ -435,10 +484,7 @@ std::optional<Certificate> build_feasibility_certificate(
   if (r.verdict == Verdict::Infeasible) return std::nullopt;
   // Past the step cap (pathological U == 1 hyperperiods) or degraded
   // arithmetic with nothing approximated: the exhaustive replay form.
-  Certificate c;
-  c.kind = CertificateKind::FeasibleExhaustive;
-  c.bound = implicit_test_bound(ts);
-  return c;
+  return exhaustive();
 }
 
 std::optional<Certificate> build_multiprocessor_certificate(

@@ -173,8 +173,12 @@ inline constexpr std::uint64_t kDefaultVerifyPointCap = 1u << 22;
 /// all-approximated walk (core/all_approx.hpp) run with no bound, whose
 /// recorded borders form the certificate. Falls back to the exhaustive
 /// form when the walk exceeds `step_cap` steps (possible only for
-/// pathological U == 1 sets). Returns nullopt when the set is not
-/// provably feasible (never emits an unsound certificate).
+/// pathological U == 1 sets). A U == 1 set whose fully approximated
+/// demand lies provably above the capacity line never drains, so it
+/// skips the walk: the processor-demand test up to the exhaustive form's
+/// bound, capped at `step_cap` intervals, returns nullopt on an overflow
+/// and the exhaustive form otherwise. Returns nullopt when the set is
+/// not provably feasible (never emits an unsound certificate).
 [[nodiscard]] std::optional<Certificate> build_feasibility_certificate(
     const TaskSet& ts, std::uint64_t step_cap = 1u << 20);
 

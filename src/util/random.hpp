@@ -2,8 +2,8 @@
 /// Deterministic, seedable random source for workload generation.
 ///
 /// All experiment code draws through this wrapper so that every figure and
-/// table in EXPERIMENTS.md is reproducible from a seed printed in its
-/// header.
+/// table the bench/ programs print is reproducible from the seed printed
+/// in the program's header line.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,8 @@ namespace edfkit {
 namespace {
 
 TEST(Accumulator, ExactJobsOnly) {
-  DemandAccumulator acc;
+  const TaskSet ts;
+  DemandAccumulator acc(ts);
   acc.add_job(3);
   acc.add_job(4);
   EXPECT_EQ(acc.compare_demand(7), Ordering::Less);    // 7 <= 7
@@ -22,10 +23,10 @@ TEST(Accumulator, ExactJobsOnly) {
 TEST(Accumulator, ApproximatedSlopeAccrues) {
   const Task t = testing::tk(2, 10, 10);  // utilization 1/5
   const TaskSet ts = testing::set_of({t});
-  const std::vector<bool> approx = {true};
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   acc.add_job(t.wcet);   // frontier at the first deadline, demand 2
-  acc.approximate(t);
+  acc.approximate(0);
+  EXPECT_TRUE(acc.approximated(0));
   acc.advance(10);       // +10 * 1/5 = 2 -> demand 4 at I=20
   // The raw interval decides clear thresholds...
   EXPECT_EQ(acc.compare_demand(5), Ordering::Less);
@@ -34,8 +35,7 @@ TEST(Accumulator, ApproximatedSlopeAccrues) {
   // the refresh path (at the frontier, I = 20) settles cleanly.
   EXPECT_EQ(acc.compare_demand(4), Ordering::Unknown);
   bool degraded = false;
-  EXPECT_EQ(acc.compare_with_refresh(ts, approx, 20, &degraded),
-            Ordering::Less);
+  EXPECT_EQ(acc.compare_with_refresh(20, &degraded), Ordering::Less);
   EXPECT_FALSE(degraded);
 }
 
@@ -43,11 +43,13 @@ TEST(Accumulator, ReviseRestoresExactDemand) {
   // Approximate at the first deadline, advance past it, revise: the
   // value must equal the exact dbf again.
   const Task t = testing::tk(3, 8, 10);
-  DemandAccumulator acc;
+  const TaskSet ts = testing::set_of({t});
+  DemandAccumulator acc(ts);
   acc.add_job(t.wcet);
-  acc.approximate(t);
+  acc.approximate(0);
   acc.advance(5);  // frontier 13; envelope = 3*(13-8+10)/10 = 4.5
-  acc.revise(t, 13);  // exact dbf(13) = 3
+  acc.revise(0, 13);  // exact dbf(13) = 3
+  EXPECT_FALSE(acc.approximated(0));
   EXPECT_EQ(acc.compare_demand(4), Ordering::Less);
   EXPECT_EQ(acc.compare_demand(2), Ordering::Greater);
 }
@@ -58,15 +60,13 @@ TEST(Accumulator, CompareWithRefreshSettlesEquality) {
   // the incremental interval straddles and rationals resolve it).
   const Task t = testing::tk(5, 10, 10);
   const TaskSet ts = testing::set_of({t});
-  std::vector<bool> approx = {true};
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   acc.add_job(t.wcet);
-  acc.approximate(t);
+  acc.approximate(0);
   acc.advance(10);  // frontier 20: envelope 5*(20-10+10)/10 = 10
   bool degraded = false;
   // demand exactly 10 vs capacity 10: must be proven <=.
-  EXPECT_EQ(acc.compare_with_refresh(ts, approx, 20, &degraded),
-            Ordering::Less);
+  EXPECT_EQ(acc.compare_with_refresh(20, &degraded), Ordering::Less);
   EXPECT_FALSE(degraded);
 }
 
@@ -103,7 +103,7 @@ TEST_P(AccumulatorWalk, IncrementalMatchesRecompute) {
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return ts[a].effective_deadline() < ts[b].effective_deadline();
   });
-  DemandAccumulator acc;
+  DemandAccumulator acc(ts);
   Time frontier = 0;
   std::size_t k = 0;
   while (k < order.size()) {
@@ -116,9 +116,12 @@ TEST_P(AccumulatorWalk, IncrementalMatchesRecompute) {
     while (k < order.size() &&
            ts[order[k]].effective_deadline() == point) {
       acc.add_job(ts[order[k]].wcet);
-      acc.approximate(ts[order[k]]);
+      acc.approximate(order[k]);
       approximated[order[k]] = true;
       ++k;
+    }
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ASSERT_EQ(acc.approximated(i), approximated[i]) << "task " << i;
     }
     const ScaledDemand sd = recompute_demand_scaled(ts, approximated, point);
     // Any comparison the fresh bounds decide at the frontier, the
@@ -127,8 +130,7 @@ TEST_P(AccumulatorWalk, IncrementalMatchesRecompute) {
         compare_scaled(ScaledPair{sd.lo, sd.hi}, point);
     bool degraded = false;
     DemandAccumulator copy = acc;
-    const Ordering inc =
-        copy.compare_with_refresh(ts, approximated, point, &degraded);
+    const Ordering inc = copy.compare_with_refresh(point, &degraded);
     EXPECT_FALSE(degraded);
     if (fresh == ScaledCompare::LessOrEqual) {
       EXPECT_NE(inc, Ordering::Greater) << "point " << point;

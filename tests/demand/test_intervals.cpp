@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "../helpers.hpp"
 #include "util/random.hpp"
@@ -29,6 +35,90 @@ TEST(TestList, PopsInAscendingOrderWithTaskTiebreak) {
   EXPECT_EQ(e.interval, 30);
   EXPECT_EQ(e.task, 2u);
   EXPECT_TRUE(list.empty());
+}
+
+/// Differential: TestList against a std::priority_queue of the same
+/// entries through random add/pop/peek/empty/size sequences. A pop
+/// leaves a hole that the next call settles or fills, so the test counts
+/// each kind of call made right after a pop and asserts that every kind,
+/// a pop that empties the list and a pop whose interval the next entry
+/// of another task shares all happened. (A repeated entry pops as the
+/// same value from both, so the sequences need not avoid one.)
+TEST(TestList, MatchesPriorityQueueReference) {
+  using Ref = std::pair<Time, std::size_t>;
+  enum Op : std::size_t { kAdd, kPop, kPeek, kEmpty, kSize, kOps };
+  std::array<std::uint64_t, kOps> after_pop{};
+  std::uint64_t pops_to_empty = 0;
+  std::uint64_t tied_pops = 0;
+  const std::uint64_t sequences = 300 * testing::fuzz_multiplier();
+  for (std::uint64_t seq = 0; seq < sequences; ++seq) {
+    Rng rng(seq);
+    TestList list;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref;
+    const Time span = rng.uniform_time(0, 40);  // small spans force ties
+    const int tasks = rng.uniform_int(1, 12);
+    const int steps = rng.uniform_int(1, 300);
+    bool last_was_pop = false;
+    for (int s = 0; s < steps; ++s) {
+      const int draw = rng.uniform_int(0, 9);
+      Op op = draw < 4 ? kAdd
+              : draw < 7 ? kPop
+              : static_cast<Op>(kPeek + static_cast<std::size_t>(draw - 7));
+      if (ref.empty() && (op == kPop || op == kPeek)) op = kAdd;
+      if (last_was_pop) ++after_pop[op];
+      last_was_pop = op == kPop;
+      switch (op) {
+        case kAdd: {
+          const auto task = static_cast<std::size_t>(rng.uniform_int(0, tasks));
+          const Time at = rng.uniform_time(0, span);
+          list.add(task, at);
+          ref.emplace(at, task);
+          break;
+        }
+        case kPop: {
+          const TestList::Entry e = list.pop();
+          ASSERT_EQ(e.interval, ref.top().first) << "seq " << seq;
+          ASSERT_EQ(e.task, ref.top().second) << "seq " << seq;
+          ref.pop();
+          if (ref.empty()) {
+            ++pops_to_empty;
+          } else if (ref.top().first == e.interval &&
+                     ref.top().second != e.task) {
+            ++tied_pops;  // the next entry shares the interval, not the task
+          }
+          break;
+        }
+        case kPeek: {
+          const TestList::Entry& e = list.peek();
+          ASSERT_EQ(e.interval, ref.top().first) << "seq " << seq;
+          ASSERT_EQ(e.task, ref.top().second) << "seq " << seq;
+          break;
+        }
+        case kEmpty:
+          ASSERT_EQ(list.empty(), ref.empty()) << "seq " << seq;
+          break;
+        case kSize:
+        case kOps:
+          ASSERT_EQ(list.size(), ref.size()) << "seq " << seq;
+          break;
+      }
+    }
+    // The rest drains in the reference's order.
+    while (!ref.empty()) {
+      ASSERT_FALSE(list.empty()) << "seq " << seq;
+      const TestList::Entry e = list.pop();
+      ASSERT_EQ(e.interval, ref.top().first) << "seq " << seq;
+      ASSERT_EQ(e.task, ref.top().second) << "seq " << seq;
+      ref.pop();
+    }
+    ASSERT_TRUE(list.empty()) << "seq " << seq;
+    ASSERT_EQ(list.size(), 0u) << "seq " << seq;
+  }
+  for (std::size_t op = 0; op < kOps; ++op) {
+    EXPECT_GT(after_pop[op], 0u) << "no call of kind " << op << " after a pop";
+  }
+  EXPECT_GT(pops_to_empty, 0u);
+  EXPECT_GT(tied_pops, 0u);
 }
 
 TEST(DeadlineStream, EnumeratesDistinctDeadlines) {

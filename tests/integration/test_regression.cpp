@@ -1,7 +1,8 @@
 /// \file test_regression.cpp
 /// Golden-value pins: exact iteration counts and verdicts for fixed
-/// inputs. These lock down the instrumented behaviour that EXPERIMENTS.md
-/// reports; any algorithmic change that shifts them must be deliberate.
+/// inputs. These lock down the instrumented behaviour the bench/ figure
+/// and table programs print; any algorithmic change that shifts them must
+/// be deliberate.
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
@@ -51,7 +52,8 @@ TEST(Regression, QuickstartDemoSet) {
 }
 
 TEST(Regression, LiteratureTable1) {
-  // Our measured Table 1 (EXPERIMENTS.md): iteration counts per set.
+  // Our measured Table 1 (bench/table1_literature prints it; its file
+  // comment lists the paper's values): iteration counts per set.
   struct Row {
     const char* name;
     bool devi_ok;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -217,6 +218,47 @@ TEST(Certificate, StepCappedWalksFallBackToAVerifyingCertificate) {
       }
     }
   }
+}
+
+TEST(Certificate, NeverDrainingSaturatedSetsSkipTheWalk) {
+  // U == 1 with the fully approximated demand I + 1/4 + 2/8 above the
+  // capacity line: the unbounded walk never drains, so the builder
+  // decides by the exact demand up to the checker's horizon (64 =
+  // lcm 48 + D_max 16) instead of running its whole step cap.
+  const TaskSet saturated =
+      set_of({tk(1, 3, 4), tk(2, 7, 8), tk(3, 12, 12), tk(4, 16, 16)});
+  ASSERT_EQ(classify_utilization(saturated), UtilizationClass::ExactlyOne);
+  const auto start = std::chrono::steady_clock::now();
+  const auto built = build_feasibility_certificate(saturated, 1u << 24);
+  const auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(built.has_value());
+  EXPECT_EQ(built->kind, CertificateKind::FeasibleExhaustive);
+  EXPECT_EQ(built->bound, 64);
+  const CertificateCheck check = verify(saturated, *built);
+  EXPECT_TRUE(check.valid) << check.reason;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+
+  // Zero offset (implicit deadlines; D > T on one task balancing D < T
+  // on another): the fully approximated demand meets the line, the walk
+  // drains and its borders are the certificate.
+  const TaskSet implicit =
+      set_of({tk(1, 4, 4), tk(2, 8, 8), tk(3, 12, 12), tk(4, 16, 16)});
+  const TaskSet balanced =
+      set_of({tk(1, 5, 4), tk(2, 7, 8), tk(3, 12, 12), tk(4, 16, 16)});
+  for (const TaskSet* ts : {&implicit, &balanced}) {
+    ASSERT_EQ(classify_utilization(*ts), UtilizationClass::ExactlyOne);
+    const auto borders = build_feasibility_certificate(*ts);
+    ASSERT_TRUE(borders.has_value()) << ts->to_string();
+    EXPECT_EQ(borders->kind, CertificateKind::FeasibleBorders)
+        << ts->to_string();
+    const CertificateCheck c = verify(*ts, *borders);
+    EXPECT_TRUE(c.valid) << c.reason << " " << ts->to_string();
+  }
+
+  // Never draining and infeasible (dbf(3) = 4): no certificate.
+  const TaskSet overloaded = set_of({tk(2, 2, 4), tk(2, 3, 4)});
+  ASSERT_EQ(classify_utilization(overloaded), UtilizationClass::ExactlyOne);
+  EXPECT_FALSE(build_feasibility_certificate(overloaded).has_value());
 }
 
 TEST(Certificate, PaperSizedSetsCertifyToo) {
