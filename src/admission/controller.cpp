@@ -43,7 +43,6 @@ struct DecisionProbe {
   std::uint64_t compactions0 = 0;
   std::uint64_t scan_iters = 0;
   std::size_t cur = 0;  // rung currently on the clock
-  std::size_t ws = 0;   // write_shard(), looked up once per decision
   obs::DecisionTrace tr;
 
   /// `group_size` is 0 for a single arrival (try_admit).
@@ -57,7 +56,6 @@ struct DecisionProbe {
     compactions0 = compactions_now;
     tr.rungs_entered = 1;  // every decision starts on Structural
     tr.group_size = static_cast<std::uint32_t>(group_size);
-    if (m != nullptr) ws = obs::write_shard();
   }
 
   /// The ladder escalated: close the current rung's clock, open `r`'s.
@@ -79,7 +77,7 @@ struct DecisionProbe {
   void cover(bool hit) noexcept {
     if (!active) return;
     tr.cert_cover = hit;
-    if (m != nullptr && !hit) m->cert_cover_misses.add_at(ws);
+    if (m != nullptr && !hit) m->cert_cover_misses.add();
   }
 
   /// Fold one demand scan's internals into the decision record. The
@@ -125,28 +123,26 @@ struct DecisionProbe {
       // one RMW (rung_admits on admit, nothing on reject).
       for (std::size_t r = 0; r < kAdmissionRungs; ++r) {
         if (((tr.rungs_entered >> r) & 1u) != 0) {
-          m->rung_ns[r].record_at(ws, tr.rung_ns[r]);
+          m->rung_ns[r].record(tr.rung_ns[r]);
         }
       }
-      m->decision_ns.record_at(ws, tr.total_ns);
+      m->decision_ns.record(tr.total_ns);
       if (admitted) {
-        m->rung_admits[static_cast<std::size_t>(rung)].add_at(ws);
+        m->rung_admits[static_cast<std::size_t>(rung)].add();
       }
-      if (tr.group_size > 0) m->group_decisions.add_at(ws);
-      if (tr.rollback) m->rollbacks.add_at(ws);
+      if (tr.group_size > 0) m->group_decisions.add();
+      if (tr.rollback) m->rollbacks.add();
       const std::uint64_t compacted = compactions_now - compactions0;
-      if (compacted != 0) m->tombstone_compactions.add_at(ws, compacted);
+      if (compacted != 0) m->tombstone_compactions.add(compacted);
       // Scan internals accumulated across the decision's scans flush
       // here once; zero deltas skip the RMW entirely.
-      if (scan_iters != 0) m->scan_iterations.add_at(ws, scan_iters);
-      if (tr.refinements != 0) {
-        m->scan_refinements.add_at(ws, tr.refinements);
-      }
+      if (scan_iters != 0) m->scan_iterations.add(scan_iters);
+      if (tr.refinements != 0) m->scan_refinements.add(tr.refinements);
       if (tr.segments_walked != 0) {
-        m->segments_walked.add_at(ws, tr.segments_walked);
+        m->segments_walked.add(tr.segments_walked);
       }
       if (tr.segments_fast_forwarded != 0) {
-        m->segments_fast_forwarded.add_at(ws, tr.segments_fast_forwarded);
+        m->segments_fast_forwarded.add(tr.segments_fast_forwarded);
       }
     }
     if (ring != nullptr) ring->push(tr);

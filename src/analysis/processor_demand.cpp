@@ -38,11 +38,6 @@ FeasibilityResult processor_demand_test(const TaskSet& ts,
   }
   Time demand = 0;
   while (!list.empty()) {
-    if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
-      r.verdict = Verdict::Unknown;
-      r.cancelled = true;
-      return r;
-    }
     const Time point = list.peek().interval;
     // Drain every job deadline at this point.
     while (!list.empty() && list.peek().interval == point) {

@@ -9,7 +9,7 @@
 /// "Processor Demand" series in Figs. 8/9 and Table 1.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <optional>
 
 #include "analysis/types.hpp"
@@ -27,10 +27,6 @@ struct ProcessorDemandOptions {
   /// Abort with Verdict::Unknown after this many test intervals
   /// (0 = unlimited). Keeps pathological Fig. 9-style runs bounded.
   std::uint64_t max_iterations = 0;
-  /// Cooperative cancellation: when set and it becomes true, the test
-  /// returns Unknown with `cancelled` — portfolio races stop losers
-  /// through this instead of paying for the slowest backend.
-  const std::atomic<bool>* stop = nullptr;
 };
 
 /// Run the processor-demand test. Verdicts Feasible/Infeasible are exact;

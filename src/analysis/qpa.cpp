@@ -8,7 +8,7 @@
 
 namespace edfkit {
 
-FeasibilityResult qpa_test(const TaskSet& ts, const std::atomic<bool>* stop) {
+FeasibilityResult qpa_test(const TaskSet& ts) {
   FeasibilityResult r;
   if (ts.empty()) {
     r.verdict = Verdict::Feasible;
@@ -33,11 +33,6 @@ FeasibilityResult qpa_test(const TaskSet& ts, const std::atomic<bool>* stop) {
   }
   r.max_interval_tested = t;
   while (true) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-      r.verdict = Verdict::Unknown;
-      r.cancelled = true;
-      return r;
-    }
     ++r.iterations;
     const Time h = columns_dbf(cols, t);
     if (h > t) {

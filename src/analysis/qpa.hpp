@@ -17,17 +17,12 @@
 /// comparable with the other tests' interval counts.
 #pragma once
 
-#include <atomic>
-
 #include "analysis/types.hpp"
 #include "model/task_set.hpp"
 
 namespace edfkit {
 
 /// Exact EDF feasibility via QPA. Requires U <= 1 precheck like PDA.
-/// `stop` is a cooperative cancellation token (checked once per loop
-/// step); when observed the test returns Unknown with `cancelled` set.
-[[nodiscard]] FeasibilityResult qpa_test(
-    const TaskSet& ts, const std::atomic<bool>* stop = nullptr);
+[[nodiscard]] FeasibilityResult qpa_test(const TaskSet& ts);
 
 }  // namespace edfkit

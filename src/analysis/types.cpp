@@ -20,7 +20,6 @@ std::string FeasibilityResult::to_string() const {
   if (witness >= 0) os << " witness=" << witness;
   if (final_level > 0) os << " level=" << final_level;
   if (degraded) os << " [degraded]";
-  if (cancelled) os << " [cancelled]";
   return os.str();
 }
 

@@ -39,8 +39,9 @@ struct FeasibilityResult {
   /// revise once more, a sufficient test rejects, and a walk with
   /// nothing left to revise answers Unknown, not Infeasible).
   bool degraded = false;
-  /// Set when the test observed a cooperative stop token and returned
-  /// early (verdict is then Unknown) — portfolio losers report this.
+  /// Nothing sets this: no test can be cancelled. It stays only because
+  /// the benchmark under perfbench/ still reads it, and goes at the next
+  /// change to the benchmark.
   bool cancelled = false;
 
   [[nodiscard]] std::uint64_t effort() const noexcept {

@@ -52,12 +52,6 @@ FeasibilityResult all_approx_test(const TaskSet& ts,
         !rec.walk_past_bound(r)) {
       break;
     }
-    if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
-      if (rec.past_bound()) return rec.at_bound();
-      r.verdict = Verdict::Unknown;
-      r.cancelled = true;
-      return r;
-    }
     if (rec.step()) return rec.capped(r);
     const auto entry = list.pop();
     const Time point = entry.interval;

@@ -25,7 +25,7 @@
 /// the default FIFO policy the two issue the same certificate.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <optional>
 
 #include "analysis/types.hpp"
@@ -54,8 +54,6 @@ struct AllApproxOptions {
   /// combined feasibility bound; kTimeInfinity walks to the drain.
   std::optional<Time> bound;
   RevisionPolicy revision = RevisionPolicy::Fifo;
-  /// Cooperative cancellation (see ProcessorDemandOptions::stop).
-  const std::atomic<bool>* stop = nullptr;
 };
 
 /// `borders` (optional) makes the walk certify a Feasible verdict; see

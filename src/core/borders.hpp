@@ -16,7 +16,6 @@
 /// result, when past the bound it
 ///   - takes more than `step_cap` steps in all (test-list pops plus
 ///     revised tasks, counted from its start),
-///   - observes its stop token (the result is then not `cancelled`),
 ///   - hits the dynamic test's level cap, or
 ///   - meets demand above capacity with nothing left to revise (which a
 ///     sound verdict rules out; never certify then).

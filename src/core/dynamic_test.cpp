@@ -71,13 +71,6 @@ FeasibilityResult dynamic_error_test(const TaskSet& ts,
       r.final_level = level;
       if (!rec.walk_past_bound(r)) break;
     }
-    if (opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed)) {
-      if (rec.past_bound()) return rec.at_bound();
-      r.verdict = Verdict::Unknown;
-      r.cancelled = true;
-      r.final_level = level;
-      return r;
-    }
     if (rec.step()) {
       r.final_level = level;
       return rec.capped(r);

@@ -29,7 +29,6 @@
 /// `build_feasibility_certificate` issues for the same set; both verify.
 #pragma once
 
-#include <atomic>
 #include <optional>
 
 #include "analysis/types.hpp"
@@ -50,8 +49,6 @@ struct DynamicTestOptions {
   Time max_level = 0;
   /// Override for the feasibility bound Imax.
   std::optional<Time> bound;
-  /// Cooperative cancellation (see ProcessorDemandOptions::stop).
-  const std::atomic<bool>* stop = nullptr;
 };
 
 /// `borders` (optional) makes the walk certify a Feasible verdict; see

@@ -3,7 +3,7 @@
 ///
 /// The analysis layer was uniprocessor-only by construction; the query
 /// API now threads an explicit `Platform` (m identical unit-speed
-/// processors) through `QueryOptions`, the backend registry, the
+/// processors) through `Query::with_platform`, the backend registry, the
 /// admission controller, and the wire protocol. `m == 1` everywhere by
 /// default, which keeps every pre-existing call site source- and
 /// behavior-compatible.

@@ -5,22 +5,14 @@
 namespace edfkit::obs {
 namespace {
 
-std::uint64_t sum_counter(const detail::CounterCells& c) noexcept {
-  std::uint64_t total = 0;
-  for (const auto& s : c.shards) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
+std::uint64_t counter_of(const detail::CounterCell& c) noexcept {
+  return c.v.load(std::memory_order_relaxed);
 }
 
-HistogramSnapshot sum_histogram(const detail::HistogramCells& c) noexcept {
+HistogramSnapshot snapshot_of(const detail::HistogramCell& c) noexcept {
   HistogramSnapshot out;
-  for (const auto& s : c.shards) {
-    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-      out.buckets[i] += s.b[i].load(std::memory_order_relaxed);
-    }
-  }
   for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+    out.buckets[i] = c.b[i].load(std::memory_order_relaxed);
     out.count += out.buckets[i];
     if (i > 0) {
       // Geometric midpoint of [2^(i-1), 2^i) is 1.5 * 2^(i-1); the
@@ -33,35 +25,31 @@ HistogramSnapshot sum_histogram(const detail::HistogramCells& c) noexcept {
   return out;
 }
 
-std::uint64_t sum_hist_count(const detail::HistogramCells& c) noexcept {
+std::uint64_t count_of(const detail::HistogramCell& c) noexcept {
   std::uint64_t total = 0;
-  for (const auto& s : c.shards) {
-    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-      total += s.b[i].load(std::memory_order_relaxed);
-    }
-  }
+  for (const auto& b : c.b) total += b.load(std::memory_order_relaxed);
   return total;
 }
 
 std::uint64_t eval_derived(const detail::DerivedSpec& d) noexcept {
   std::uint64_t plus = 0;
   std::uint64_t minus = 0;
-  for (const auto* h : d.hists) plus += sum_hist_count(*h);
-  for (const auto* c : d.plus) plus += sum_counter(*c);
-  for (const auto* c : d.minus) minus += sum_counter(*c);
-  for (const auto* h : d.hists_minus) minus += sum_hist_count(*h);
+  for (const auto* h : d.hists) plus += count_of(*h);
+  for (const auto* c : d.plus) plus += counter_of(*c);
+  for (const auto* c : d.minus) minus += counter_of(*c);
+  for (const auto* h : d.hists_minus) minus += count_of(*h);
   return plus > minus ? plus - minus : 0;
 }
 
 /// Real and derived counters in one sorted view for the exporters
-/// (emplace keeps the real cells when a name is shadowed).
+/// (emplace keeps the real cell when a name is shadowed).
 std::map<std::string, std::uint64_t> merged_counters(
-    const std::map<std::string, std::unique_ptr<detail::CounterCells>>&
+    const std::map<std::string, std::unique_ptr<detail::CounterCell>>&
         counters,
     const std::map<std::string, detail::DerivedSpec>& derived) {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, cells] : counters) {
-    out.emplace(name, sum_counter(*cells));
+  for (const auto& [name, cell] : counters) {
+    out.emplace(name, counter_of(*cell));
   }
   for (const auto& [name, spec] : derived) {
     out.emplace(name, eval_derived(spec));
@@ -85,18 +73,11 @@ void json_string(std::ostringstream& os, const std::string& s) {
 
 }  // namespace
 
-std::size_t write_shard() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t hint =
-      next.fetch_add(1, std::memory_order_relaxed) % kWriteShards;
-  return hint;
-}
-
 Counter MetricsRegistry::counter(const std::string& name) {
   if (!enabled_) return Counter{};
   const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<detail::CounterCells>();
+  if (slot == nullptr) slot = std::make_unique<detail::CounterCell>();
   return Counter{slot.get()};
 }
 
@@ -112,7 +93,7 @@ Histogram MetricsRegistry::histogram(const std::string& name) {
   if (!enabled_) return Histogram{};
   const std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<detail::HistogramCells>();
+  if (slot == nullptr) slot = std::make_unique<detail::HistogramCell>();
   return Histogram{slot.get()};
 }
 
@@ -126,22 +107,22 @@ void MetricsRegistry::derive_counter(const std::string& name,
   detail::DerivedSpec spec;
   for (const auto& h : hist_counts) {
     auto& slot = histograms_[h];
-    if (slot == nullptr) slot = std::make_unique<detail::HistogramCells>();
+    if (slot == nullptr) slot = std::make_unique<detail::HistogramCell>();
     spec.hists.push_back(slot.get());
   }
   for (const auto& h : hist_minus) {
     auto& slot = histograms_[h];
-    if (slot == nullptr) slot = std::make_unique<detail::HistogramCells>();
+    if (slot == nullptr) slot = std::make_unique<detail::HistogramCell>();
     spec.hists_minus.push_back(slot.get());
   }
   for (const auto& c : plus) {
     auto& slot = counters_[c];
-    if (slot == nullptr) slot = std::make_unique<detail::CounterCells>();
+    if (slot == nullptr) slot = std::make_unique<detail::CounterCell>();
     spec.plus.push_back(slot.get());
   }
   for (const auto& c : minus) {
     auto& slot = counters_[c];
-    if (slot == nullptr) slot = std::make_unique<detail::CounterCells>();
+    if (slot == nullptr) slot = std::make_unique<detail::CounterCell>();
     spec.minus.push_back(slot.get());
   }
   derived_[name] = std::move(spec);
@@ -150,7 +131,7 @@ void MetricsRegistry::derive_counter(const std::string& name,
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
-  if (it != counters_.end()) return sum_counter(*it->second);
+  if (it != counters_.end()) return counter_of(*it->second);
   const auto dit = derived_.find(name);
   return dit == derived_.end() ? 0 : eval_derived(dit->second);
 }
@@ -168,7 +149,7 @@ HistogramSnapshot MetricsRegistry::histogram_snapshot(
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? HistogramSnapshot{}
-                                 : sum_histogram(*it->second);
+                                 : snapshot_of(*it->second);
 }
 
 std::vector<std::string> MetricsRegistry::names() const {
@@ -176,12 +157,12 @@ std::vector<std::string> MetricsRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(counters_.size() + derived_.size() + gauges_.size() +
               histograms_.size());
-  for (const auto& [name, cells] : counters_) out.push_back(name);
+  for (const auto& [name, cell] : counters_) out.push_back(name);
   for (const auto& [name, spec] : derived_) {
     if (counters_.find(name) == counters_.end()) out.push_back(name);
   }
   for (const auto& [name, cell] : gauges_) out.push_back(name);
-  for (const auto& [name, cells] : histograms_) out.push_back(name);
+  for (const auto& [name, cell] : histograms_) out.push_back(name);
   return out;
 }
 
@@ -197,8 +178,8 @@ std::string MetricsRegistry::to_prometheus() const {
     os << "edfkit_" << name << ' '
        << cell->v.load(std::memory_order_relaxed) << '\n';
   }
-  for (const auto& [name, cells] : histograms_) {
-    const HistogramSnapshot snap = sum_histogram(*cells);
+  for (const auto& [name, cell] : histograms_) {
+    const HistogramSnapshot snap = snapshot_of(*cell);
     os << "# TYPE edfkit_" << name << " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i + 1 < kHistogramBuckets; ++i) {
@@ -237,10 +218,10 @@ std::string MetricsRegistry::to_json() const {
   }
   os << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, cells] : histograms_) {
+  for (const auto& [name, cell] : histograms_) {
     if (!first) os << ',';
     first = false;
-    const HistogramSnapshot snap = sum_histogram(*cells);
+    const HistogramSnapshot snap = snapshot_of(*cell);
     json_string(os, name);
     os << ":{\"count\":" << snap.count << ",\"approx_sum\":"
        << snap.approx_sum << ",\"buckets\":[";

@@ -5,10 +5,11 @@
 /// Design contract (the reason this layer may be compiled in
 /// everywhere): a sample on the admit path costs exactly one relaxed
 /// atomic add — no locks, no allocation, no branches beyond the null
-/// handle check. Writes are sharded across `kWriteShards` cache-line-
-/// padded slots (threads pick a slot round-robin at first use), so
-/// concurrent writers do not bounce one cache line; readers aggregate
-/// the shards under the registry mutex. Registration is the cold path
+/// handle check. Each counter and histogram is one cache-line-aligned
+/// cell, so metrics written by different threads (the server loop's and
+/// the replication shipper's) never share a cache line; writers of one
+/// metric share its cell. Readers load the cells under the registry
+/// mutex. Registration is the cold path
 /// (mutex + allocation); handles returned by counter()/gauge()/
 /// histogram() are trivially copyable values that stay valid for the
 /// registry's lifetime.
@@ -38,7 +39,6 @@
 
 namespace edfkit::obs {
 
-inline constexpr std::size_t kWriteShards = 8;
 inline constexpr std::size_t kHistogramBuckets = 40;
 
 /// Bucket index for a sample: 0 for 0, else clamp(bit_width(v), 1, 39).
@@ -61,40 +61,28 @@ inline constexpr std::size_t kHistogramBuckets = 40;
   return std::uint64_t{1} << i;
 }
 
-/// The write shard this thread uses (round-robin assigned at first
-/// use; stable for the thread's lifetime).
-[[nodiscard]] std::size_t write_shard() noexcept;
-
 namespace detail {
 
-struct alignas(64) CounterShard {
+struct alignas(64) CounterCell {
   std::atomic<std::uint64_t> v{0};
-};
-
-struct CounterCells {
-  std::array<CounterShard, kWriteShards> shards;
 };
 
 struct GaugeCell {
   std::atomic<double> v{0.0};
 };
 
-struct alignas(64) HistogramShard {
+struct alignas(64) HistogramCell {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> b{};
-};
-
-struct HistogramCells {
-  std::array<HistogramShard, kWriteShards> shards;
 };
 
 /// Read-time recipe for a derived counter (see
 /// MetricsRegistry::derive_counter): Σ histogram sample counts plus
 /// Σ counter values minus Σ counter values, clamped at zero.
 struct DerivedSpec {
-  std::vector<const HistogramCells*> hists;
-  std::vector<const CounterCells*> plus;
-  std::vector<const CounterCells*> minus;
-  std::vector<const HistogramCells*> hists_minus;
+  std::vector<const HistogramCell*> hists;
+  std::vector<const CounterCell*> plus;
+  std::vector<const CounterCell*> minus;
+  std::vector<const HistogramCell*> hists_minus;
 };
 
 }  // namespace detail
@@ -106,21 +94,15 @@ class Counter {
   Counter() = default;
 
   void add(std::uint64_t n = 1) const noexcept {
-    if (cells_ == nullptr) return;
-    cells_->shards[write_shard()].v.fetch_add(n, std::memory_order_relaxed);
+    if (cell_ == nullptr) return;
+    cell_->v.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Hot-path variant for callers that looked up write_shard() once and
-  /// reuse it across a batch of updates (e.g. one admission decision).
-  void add_at(std::size_t shard, std::uint64_t n = 1) const noexcept {
-    if (cells_ == nullptr) return;
-    cells_->shards[shard].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool attached() const noexcept { return cells_ != nullptr; }
+  [[nodiscard]] bool attached() const noexcept { return cell_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(detail::CounterCells* c) noexcept : cells_(c) {}
-  detail::CounterCells* cells_ = nullptr;
+  explicit Counter(detail::CounterCell* c) noexcept : cell_(c) {}
+  detail::CounterCell* cell_ = nullptr;
 };
 
 /// Last-write-wins gauge handle (a single relaxed atomic double).
@@ -146,28 +128,21 @@ class Histogram {
   Histogram() = default;
 
   void record(std::uint64_t v) const noexcept {
-    if (cells_ == nullptr) return;
-    cells_->shards[write_shard()].b[bucket_of(v)].fetch_add(
-        1, std::memory_order_relaxed);
+    if (cell_ == nullptr) return;
+    cell_->b[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
   }
-  /// Hot-path variant taking a cached write_shard() result.
-  void record_at(std::size_t shard, std::uint64_t v) const noexcept {
-    if (cells_ == nullptr) return;
-    cells_->shards[shard].b[bucket_of(v)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool attached() const noexcept { return cells_ != nullptr; }
+  [[nodiscard]] bool attached() const noexcept { return cell_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(detail::HistogramCells* c) noexcept : cells_(c) {}
-  detail::HistogramCells* cells_ = nullptr;
+  explicit Histogram(detail::HistogramCell* c) noexcept : cell_(c) {}
+  detail::HistogramCell* cell_ = nullptr;
 };
 
-/// Shard-aggregated histogram state at one point in time. Because
-/// writers are relaxed and never quiesced, a snapshot taken concurrently
-/// with writes is a consistent-enough lower bound per bucket (each
-/// bucket value was the bucket's true count at some moment).
+/// Histogram state at one point in time. Because writers are relaxed
+/// and never quiesced, a snapshot taken concurrently with writes is a
+/// consistent-enough lower bound per bucket (each bucket value was the
+/// bucket's true count at some moment).
 struct HistogramSnapshot {
   std::array<std::uint64_t, kHistogramBuckets> buckets{};
   std::uint64_t count = 0;
@@ -201,7 +176,7 @@ class MetricsRegistry {
   /// an RMW for a value that is already implied by the samples it must
   /// record anyway — and the exporters present them exactly like
   /// ordinary counters. A name already registered as a real counter
-  /// keeps the real cells.
+  /// keeps the real cell.
   void derive_counter(const std::string& name,
                       const std::vector<std::string>& hist_counts,
                       const std::vector<std::string>& plus = {},
@@ -224,9 +199,9 @@ class MetricsRegistry {
  private:
   bool enabled_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<detail::CounterCells>> counters_;
+  std::map<std::string, std::unique_ptr<detail::CounterCell>> counters_;
   std::map<std::string, std::unique_ptr<detail::GaugeCell>> gauges_;
-  std::map<std::string, std::unique_ptr<detail::HistogramCells>> histograms_;
+  std::map<std::string, std::unique_ptr<detail::HistogramCell>> histograms_;
   std::map<std::string, detail::DerivedSpec> derived_;
 };
 

@@ -116,7 +116,7 @@ namespace detail {
 #endif
 
 /// Controller-side handles (one bundle shared by every attached
-/// controller; writes are internally sharded).
+/// controller; each handle writes one cell).
 /// Note: several ladder counters are *derived* at read time rather
 /// than written on the decision path, exploiting two structural
 /// invariants — the probe records exactly one rung_ns sample per

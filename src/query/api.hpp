@@ -4,7 +4,7 @@
 ///
 ///   - `Workload`                          (query/workload.hpp)
 ///   - `Platform`                          (model/platform.hpp)
-///   - `Query`, `QueryOptions`, `Outcome`  (query/query.hpp)
+///   - `Query`, `Outcome`                  (query/query.hpp)
 ///   - typed per-backend parameters        (query/options.hpp)
 ///   - the backend registry + `TestKind`   (query/registry.hpp)
 ///   - certificates and their checker      (query/certificate.hpp)
@@ -24,6 +24,13 @@
 /// `run(const Workload&)` hand their tasks to the backends without a
 /// copy. Version 4 dropped the exact-kind parameter of `Query::ladder`
 /// and `default_ladder_kinds`: the ladder's exact rung is always QPA.
+/// Version 5 removed the `Portfolio` policy and `Query::portfolio()`,
+/// `QueryOptions` and `Query::with_options` (the `with_*` setters set
+/// the same fields), `BackendRegistry::exact_kinds()`, the `stop`
+/// cancellation field of `ProcessorDemandOptions`, `DynamicTestOptions`,
+/// `AllApproxOptions` and `QpaParams`, and the `stop` parameter of
+/// `qpa_test`: every policy runs its backends in order on the calling
+/// thread.
 ///
 /// Typical use:
 ///
@@ -41,7 +48,7 @@
 ///   }
 #pragma once
 
-#define EDFKIT_API_VERSION 4
+#define EDFKIT_API_VERSION 5
 
 #include "model/platform.hpp"
 #include "model/task_set.hpp"

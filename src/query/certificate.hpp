@@ -33,14 +33,13 @@
 /// dynamic or all-approx test, it carries the borders its own walk
 /// recorded on the way to its drain (core/borders.hpp). Every other
 /// accept gets them from `build_feasibility_certificate`, the all-approx
-/// walk with no bound: QPA, processor-demand and the sufficient rungs, a
-/// portfolio (its walks race uncertified), the admission controller, and
-/// a walk that stops short of its drain (past the step cap, on its stop
-/// token, at U == 1, or run with no bound). An all-approx accept's
-/// certificate is therefore the builder's byte for byte (under the
-/// default FIFO revision); a dynamic accept's borders follow the dynamic
-/// test's level schedule and may differ from the builder's, and verify
-/// just the same.
+/// walk with no bound: QPA, processor-demand and the sufficient rungs,
+/// the admission controller, and a walk that stops short of its drain
+/// (past the step cap, at U == 1, or run with no bound). An all-approx
+/// accept's certificate is therefore the builder's byte for byte (under
+/// the default FIFO revision); a dynamic accept's borders follow the
+/// dynamic test's level schedule and may differ from the builder's, and
+/// verify just the same.
 ///
 /// The rare fallback (step-capped construction at U == 1) is an
 /// exhaustive certificate: a bound B such that checking the exact dbf at

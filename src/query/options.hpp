@@ -8,7 +8,6 @@
 /// `std::invalid_argument` instead of a degenerate scan.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <variant>
 
@@ -37,11 +36,8 @@ struct ChakrabortyParams {
   double epsilon = 0.25;  ///< in (0, 1): k = ceil(1/epsilon) exact jobs
 };
 
-/// QPA (Zhang & Burns): only a cancellation hook.
-struct QpaParams {
-  /// Cooperative cancellation (see ProcessorDemandOptions::stop).
-  const std::atomic<bool>* stop = nullptr;
-};
+/// QPA (Zhang & Burns) — no knobs.
+struct QpaParams {};
 
 /// Real-time-calculus 2-segment curve test — no knobs.
 struct RtcCurveParams {};

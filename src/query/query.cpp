@@ -1,12 +1,8 @@
 #include "query/query.hpp"
 
-#include <atomic>
-#include <condition_variable>
 #include <iomanip>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 namespace edfkit {
 namespace {
@@ -23,19 +19,6 @@ BackendParams apply_limits(BackendParams params, const ResourceLimits& l) {
       }
     }
   }
-  return params;
-}
-
-/// Thread the portfolio stop token into every param struct that has a
-/// cancellation hook (the long-running exact backends). A null token is
-/// a no-op so callers' own stop pointers survive non-portfolio runs.
-BackendParams arm_stop(BackendParams params, const std::atomic<bool>* stop) {
-  if (stop == nullptr) return params;
-  std::visit(
-      [&](auto& p) {
-        if constexpr (requires { p.stop; }) p.stop = stop;
-      },
-      params);
   return params;
 }
 
@@ -61,7 +44,6 @@ const char* to_string(ExecPolicy p) noexcept {
   switch (p) {
     case ExecPolicy::Single: return "single";
     case ExecPolicy::Ladder: return "ladder";
-    case ExecPolicy::Portfolio: return "portfolio";
     case ExecPolicy::Batch: return "batch";
   }
   return "?";
@@ -122,15 +104,6 @@ Query Query::cascade(const Platform& p) {
   return q;
 }
 
-Query Query::portfolio() {
-  Query q;
-  q.policy_ = ExecPolicy::Portfolio;
-  for (const TestKind k : BackendRegistry::instance().exact_kinds()) {
-    q.backends_.push_back({k, default_params(k)});
-  }
-  return q;
-}
-
 Query Query::batch(const std::vector<TestKind>& kinds) {
   Query q;
   q.policy_ = ExecPolicy::Batch;
@@ -162,14 +135,6 @@ Query& Query::with_certificates(bool want) {
 
 Query& Query::with_platform(Platform platform) {
   platform_ = platform;
-  return *this;
-}
-
-Query& Query::with_options(const QueryOptions& options) {
-  policy_ = options.policy;
-  limits_ = options.limits;
-  certificates_ = options.certificates;
-  platform_ = options.platform;
   return *this;
 }
 
@@ -238,11 +203,9 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
   // own accept (dynamic, all-approx) and may settle the outcome runs
   // through its certifying entry, recording into `walk`.
   const bool walk_borders = certificates_ && platform_.uniprocessor();
-  const auto run_one = [&](const BackendSelection& sel, WalkBorders* walk,
-                           const std::atomic<bool>* stop = nullptr) {
+  const auto run_one = [&](const BackendSelection& sel, WalkBorders* walk) {
     const BackendInfo* info = reg.find(sel.kind);
-    const BackendParams params =
-        arm_stop(apply_limits(sel.params, limits_), stop);
+    const BackendParams params = apply_limits(sel.params, limits_);
     if (walk_borders && walk != nullptr && info->certify != nullptr &&
         !unbounded(params)) {
       walk->step_cap = limits_.certificate_step_cap;
@@ -271,47 +234,6 @@ Outcome Query::execute(WorkloadKind kind, const TaskSet& ts) const {
         if (decisive(r.verdict)) {
           settle(sel->kind, r);
           decided_walk = std::move(walk);
-          break;
-        }
-      }
-      break;
-    }
-    case ExecPolicy::Portfolio: {
-      // Race: every backend on its own thread; completion order decides
-      // the winner. The first decisive finisher raises the stop token;
-      // the long-running exact backends poll it and return early with
-      // `cancelled`, so the race never pays for the slowest loser. The
-      // walks race uncertified: a certifying walk would run on past its
-      // bound instead of ending the race there, so a portfolio accept
-      // gets the builder's certificate.
-      //
-      // Populate the set's lazy caches (exact utilization, deadline
-      // order) on this thread first: they are unsynchronized mutables,
-      // and every backend's precheck would otherwise race to fill them.
-      (void)ts.utilization();
-      (void)ts.by_deadline();
-      std::atomic<bool> stop{false};
-      std::mutex m;
-      std::vector<BackendAttempt> done;
-      done.reserve(runnable.size());
-      std::vector<std::thread> threads;
-      threads.reserve(runnable.size());
-      for (const BackendSelection* sel : runnable) {
-        threads.emplace_back([&, sel] {
-          FeasibilityResult r = run_one(*sel, nullptr, &stop);
-          if (decisive(r.verdict) && !r.cancelled) {
-            stop.store(true, std::memory_order_relaxed);
-          }
-          const std::lock_guard<std::mutex> lock(m);
-          done.push_back({sel->kind, std::move(r)});
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      out.attempts = std::move(done);
-      for (const BackendAttempt& a : out.attempts) {
-        out.analysis = a.result;
-        if (decisive(a.result.verdict)) {
-          settle(a.kind, a.result);
           break;
         }
       }

@@ -15,13 +15,11 @@
 ///              first decisive (Feasible/Infeasible) verdict — the online
 ///              admission controller's ladder is this policy over the
 ///              registry's incremental backends plus an exact fallback.
-///   Portfolio  race the selection on threads; the first decisive verdict
-///              wins and raises a stop token that the long-running exact
-///              backends observe, so losers return early (with
-///              `cancelled` set on their attempt) instead of running to
-///              completion.
 ///   Batch      run every selected backend and report all verdicts (the
 ///              comparison-table / batch-column workflow).
+///
+/// Every policy runs its backends one after another on the calling
+/// thread, in selection order.
 ///
 /// Backends that do not support the workload's kind are skipped under
 /// multi-backend policies (and rejected under Single) — capability
@@ -41,19 +39,9 @@
 
 namespace edfkit {
 
-enum class ExecPolicy : std::uint8_t { Single, Ladder, Portfolio, Batch };
+enum class ExecPolicy : std::uint8_t { Single, Ladder, Batch };
 
 [[nodiscard]] const char* to_string(ExecPolicy p) noexcept;
-
-/// Aggregate of every query knob, for callers that configure in one
-/// place (the public api.hpp surface). Platform defaults to one
-/// processor, so existing uniprocessor call sites are source-compatible.
-struct QueryOptions {
-  ExecPolicy policy = ExecPolicy::Batch;
-  ResourceLimits limits;
-  bool certificates = true;
-  Platform platform;
-};
 
 /// One backend the query will (attempt to) run.
 struct BackendSelection {
@@ -77,7 +65,7 @@ struct Outcome {
   TestKind decided_by = TestKind::LiuLayland;
   /// The deciding backend's instrumented result (last attempt otherwise).
   FeasibilityResult analysis;
-  /// Every backend that ran, in completion order.
+  /// Every backend that ran, in selection order.
   std::vector<BackendAttempt> attempts;
   /// Backends skipped because they do not support the workload kind.
   std::vector<TestKind> skipped;
@@ -91,7 +79,7 @@ struct Outcome {
   [[nodiscard]] bool infeasible() const noexcept {
     return verdict == Verdict::Infeasible;
   }
-  /// Sum of effort over every attempt (the ladder/portfolio cost).
+  /// Sum of effort over every attempt (the ladder or batch cost).
   [[nodiscard]] std::uint64_t total_effort() const noexcept;
   [[nodiscard]] std::string to_string() const;
 };
@@ -116,9 +104,6 @@ class Query {
   /// this platform" as one call.
   [[nodiscard]] static Query cascade(const Platform& p);
 
-  /// Race every exact backend in the registry.
-  [[nodiscard]] static Query portfolio();
-
   /// Run all `kinds` with default params and report every verdict.
   [[nodiscard]] static Query batch(const std::vector<TestKind>& kinds);
 
@@ -131,8 +116,6 @@ class Query {
   /// under multi-backend policies, rejected under Single). Certificates
   /// switch to the multiprocessor forms when m > 1.
   Query& with_platform(Platform platform);
-  /// All knobs at once (the api.hpp configuration surface).
-  Query& with_options(const QueryOptions& options);
 
   [[nodiscard]] const std::vector<BackendSelection>& backends() const noexcept {
     return backends_;

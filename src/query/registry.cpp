@@ -40,8 +40,8 @@ FeasibilityResult run_processor_demand(const TaskSet& ts, const Platform&,
   return processor_demand_test(ts, std::get<ProcessorDemandOptions>(p));
 }
 FeasibilityResult run_qpa(const TaskSet& ts, const Platform&,
-                          const BackendParams& p) {
-  return qpa_test(ts, std::get<QpaParams>(p).stop);
+                          const BackendParams&) {
+  return qpa_test(ts);
 }
 FeasibilityResult run_dynamic(const TaskSet& ts, const Platform&,
                               const BackendParams& p) {
@@ -258,14 +258,6 @@ std::vector<std::string> BackendRegistry::suggestions(
   std::vector<std::string> all_names;
   for (const BackendInfo& b : backends_) all_names.emplace_back(b.name);
   return all_names;
-}
-
-std::vector<TestKind> BackendRegistry::exact_kinds() const {
-  std::vector<TestKind> out;
-  for (const BackendInfo& b : backends_) {
-    if (b.exact) out.push_back(b.kind);
-  }
-  return out;
 }
 
 std::vector<TestKind> BackendRegistry::kinds_for(WorkloadKind w) const {

@@ -146,8 +146,6 @@ class BackendRegistry {
     return backends_;
   }
 
-  /// Kinds with exact == true, in registration order.
-  [[nodiscard]] std::vector<TestKind> exact_kinds() const;
   /// Kinds supporting the given workload kind, in registration order.
   [[nodiscard]] std::vector<TestKind> kinds_for(WorkloadKind w) const;
   /// Kinds applicable to the given platform, in registration order.

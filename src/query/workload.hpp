@@ -68,7 +68,7 @@ class Workload {
 
   /// Canonical sporadic form every backend runs on. For event streams
   /// this is the exact dbf-preserving expansion, computed once under a
-  /// std::once_flag (safe to call from concurrent query threads).
+  /// std::once_flag (safe to call from concurrent callers).
   [[nodiscard]] const TaskSet& tasks() const;
 
   /// The stream set. \pre kind() == WorkloadKind::EventStreams

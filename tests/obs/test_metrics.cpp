@@ -1,6 +1,6 @@
 /// \file test_metrics.cpp
 /// MetricsRegistry: log2 bucket arithmetic, null-handle no-ops,
-/// multi-shard aggregation, exporter formats, and a concurrent
+/// aggregation across handles, exporter formats, and a concurrent
 /// writers-vs-reader stress with exact final totals (run under TSan in
 /// CI — every hot-path access is a relaxed atomic by contract).
 #include <gtest/gtest.h>
@@ -143,12 +143,12 @@ TEST(ObsRegistry, JsonExport) {
 /// Torn-read invariant under concurrency: N writer threads hammer one
 /// counter and one histogram while a reader continuously aggregates;
 /// every intermediate read is <= the true total, and the final read is
-/// exact. More threads than write shards, so shard reuse is exercised.
+/// exact. The writers all contend on each metric's one cell.
 TEST(ObsRegistry, ConcurrentWritersExactTotals) {
   MetricsRegistry reg;
   const Counter c = reg.counter("stress_total");
   const Histogram h = reg.histogram("stress_ns");
-  constexpr int kThreads = 2 * static_cast<int>(kWriteShards);
+  constexpr int kThreads = 16;
   constexpr std::uint64_t kPerThread = 20000;
 
   std::atomic<bool> stop{false};
